@@ -10,14 +10,15 @@ build:
 test:
 	dune runtest
 
-# CI runs the suite seven times: single-threaded tuple-at-a-time, with
-# every Engine.run forced onto 2 domains, with every Engine.run's data
-# plane batched at 64, with both knobs combined, with every installed
+# CI runs the suite seven times: single-threaded on the default data
+# plane (batched at 64), with every Engine.run forced onto 2 domains,
+# with every Engine.run's data plane forced back to tuple-at-a-time
+# (GIGASCOPE_BATCH=1), with both knobs combined, with every installed
 # query sharded 4 ways across 4 domains, under a seeded chaos spec, and
 # under the same chaos spec with sharding on (the test/dune env_var
 # deps make the later runs re-execute rather than hit the cache). All
 # knobs claim byte-identical output, so the whole suite doubles as
-# their determinism check — including the parallel×batched and
+# their determinism check — including the parallel×per-item and
 # sharded×chaos interactions, which no single-knob pass exercises.
 #
 # The chaos pass injects only output-preserving faults — a stall on the
@@ -34,8 +35,8 @@ ci:
 	dune build @all
 	timeout $(CI_TIMEOUT) dune runtest
 	GIGASCOPE_PARALLEL=2 timeout $(CI_TIMEOUT) dune runtest --force
-	GIGASCOPE_BATCH=64 timeout $(CI_TIMEOUT) dune runtest --force
-	GIGASCOPE_PARALLEL=2 GIGASCOPE_BATCH=64 timeout $(CI_TIMEOUT) dune runtest --force
+	GIGASCOPE_BATCH=1 timeout $(CI_TIMEOUT) dune runtest --force
+	GIGASCOPE_PARALLEL=2 GIGASCOPE_BATCH=1 timeout $(CI_TIMEOUT) dune runtest --force
 	GIGASCOPE_SHARDS=4 GIGASCOPE_PARALLEL=4 timeout $(CI_TIMEOUT) dune runtest --force
 	GIGASCOPE_FAULTS="$(CHAOS_FAULTS)" GIGASCOPE_PARALLEL=2 timeout $(CI_TIMEOUT) dune runtest --force
 	GIGASCOPE_FAULTS="$(CHAOS_FAULTS)" GIGASCOPE_SHARDS=2 timeout $(CI_TIMEOUT) dune runtest --force

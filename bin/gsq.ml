@@ -165,13 +165,14 @@ let parallel =
 
 let batch =
   Arg.(
-    value & opt int 1
+    value & opt (some int) None
     & info ["batch"] ~docv:"N"
         ~doc:
           "Batch the data plane: tuples move through channels, operators and the scheduler \
            in runs of up to N (control items seal a batch early, so punctuation keeps its \
-           stream position). 1 (the default) is tuple-at-a-time; the $(b,GIGASCOPE_BATCH) \
-           environment variable sets the default. Output is byte-identical for every batch \
+           stream position). The default is 64, one scheduler quantum; the \
+           $(b,GIGASCOPE_BATCH) environment variable overrides it, and an explicit $(b,--batch) \
+           overrides both. 1 is tuple-at-a-time. Output is byte-identical for every batch \
            size.")
 
 let shards_arg =
@@ -381,7 +382,7 @@ let do_run query_file rate duration seed pcap_in iface max_rows sessions show_st
       (match
          E.run engine ~trace
            ?parallel:(if parallel > 1 then Some parallel else None)
-           ?batch:(if batch > 1 then Some batch else None)
+           ?batch
            ~latency_sample ?supervise ?shed ?state_slack:watchdog ~placement ()
        with
       | Ok stats ->
@@ -597,7 +598,7 @@ let do_serve query_file rate duration seed pcap_in iface sessions show_stats tra
   match
     E.run engine ~trace
       ?parallel:(if parallel > 1 then Some parallel else None)
-      ?batch:(if batch > 1 then Some batch else None)
+      ?batch
       ~latency_sample ?supervise ?shed ?state_slack:watchdog ~placement ()
   with
   | Ok stats ->

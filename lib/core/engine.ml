@@ -54,18 +54,19 @@ type t = {
    ignored, but never silently: degrading GIGASCOPE_PARALLEL=abc to a
    single-threaded run would quietly void what the CI matrix claims to
    test. *)
-let env_knob name =
+let env_knob ?(default = 1) name =
   match Sys.getenv_opt name with
-  | None | Some "" -> 1
+  | None | Some "" -> default
   | Some s -> (
       match int_of_string_opt (String.trim s) with
       | Some n when n >= 1 -> n
       | Some n ->
-          Log.warn (fun m -> m "ignoring %s=%d: must be a positive integer; using 1" name n);
-          1
+          Log.warn (fun m ->
+              m "ignoring %s=%d: must be a positive integer; using %d" name n default);
+          default
       | None ->
-          Log.warn (fun m -> m "ignoring %s=%S: not an integer; using 1" name s);
-          1)
+          Log.warn (fun m -> m "ignoring %s=%S: not an integer; using %d" name s default);
+          default)
 
 (* Sharding rewrites the plan at install time, so its knob is read in
    [create], not [run]. *)
@@ -244,29 +245,28 @@ let bind_source t ~interface ~protocol ~nic =
           configure_nic iface nic;
           let feed = iface.feed_factory () in
           let last_ts = ref nan in
-          let needs_nic_path () = Nic.mode iface.nic <> Nic.Dumb in
           let rec pull () =
             match feed () with
             | None -> None
             | Some pkt -> (
                 last_ts := pkt.Packet.ts;
                 let delivered =
-                  if needs_nic_path () then begin
-                    let wire = Packet.encode pkt in
-                    match Nic.deliver iface.nic wire with
-                    | None -> None
-                    | Some snapped -> (
-                        match
-                          Packet.decode ~ts:pkt.Packet.ts ~wire_len:(Bytes.length wire) snapped
-                        with
-                        | Ok p -> Some p
-                        | Error _ -> None)
-                  end
-                  else begin
-                    (* account the dumb card's view too *)
-                    ignore (Nic.deliver iface.nic (Packet.encode pkt));
-                    Some pkt
-                  end
+                  match Nic.mode iface.nic with
+                  | Nic.Dumb ->
+                      (* the dumb card passes the packet whole: count it
+                         without building its wire bytes *)
+                      Nic.account iface.nic (Packet.encoded_len pkt);
+                      Some pkt
+                  | Nic.Filtering _ | Nic.Programmable _ -> (
+                      let wire = Packet.encode pkt in
+                      match Nic.deliver iface.nic wire with
+                      | None -> None
+                      | Some snapped -> (
+                          match
+                            Packet.decode ~ts:pkt.Packet.ts ~wire_len:(Bytes.length wire) snapped
+                          with
+                          | Ok p -> Some p
+                          | Error _ -> None))
                 in
                 match delivered with
                 | None -> pull ()
@@ -491,7 +491,9 @@ let on_tuple t name f =
 
 let default_parallel () = env_knob "GIGASCOPE_PARALLEL"
 
-let default_batch () = env_knob "GIGASCOPE_BATCH"
+(* Batched by default: a batch fills one scheduler quantum. 1 restores
+   the tuple-at-a-time plane. *)
+let default_batch () = env_knob ~default:Rts.Scheduler.default_quantum "GIGASCOPE_BATCH"
 
 (* GIGASCOPE_SUPERVISE / GIGASCOPE_SHED / GIGASCOPE_FAULTS: the failure
    model's knobs, same CI-matrix stance as above — a malformed value is

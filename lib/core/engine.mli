@@ -204,10 +204,12 @@ val run :
     single-threaded execution (the hook mutates live operator state,
     which must not race worker domains).
 
-    [batch] (default from [GIGASCOPE_BATCH], else 1) vectorizes the data
-    plane: tuples move through channels, operators and the scheduler in
-    runs of up to [batch] ({!Rts.Scheduler.run}'s knob). Output is
-    byte-identical for every batch size.
+    [batch] (default from [GIGASCOPE_BATCH], else
+    {!Rts.Scheduler.default_quantum}, 64) vectorizes the data plane:
+    tuples move through channels, operators and the scheduler in runs of
+    up to [batch] ({!Rts.Scheduler.run}'s knob). An explicit 1 runs the
+    tuple-at-a-time plane. Output is byte-identical for every batch
+    size.
 
     [supervise] (default from [GIGASCOPE_SUPERVISE], else [Fail_fast])
     chooses the crash policy — see {!Rts.Supervisor}: [Fail_fast] turns

@@ -69,7 +69,9 @@ let compare_vals op a b =
 
 let rec compile_expr ~params (e : Expr_ir.t) =
   match e with
-  | Expr_ir.Const v -> Ok (fun _ -> Some v)
+  | Expr_ir.Const v ->
+      let r = Some v in
+      Ok (fun _ -> r)
   | Expr_ir.Field (i, _) -> Ok (fun tup -> if i < Array.length tup then Some tup.(i) else None)
   | Expr_ir.Param (name, _) -> Ok (fun _ -> Hashtbl.find_opt params name)
   | Expr_ir.Unop (Ast.Not, a) ->
@@ -168,9 +170,145 @@ let rec compile_expr ~params (e : Expr_ir.t) =
             arg_fns;
           if !ok then impl vals else None)
 
+(* ---------------- typed compilation ----------------------------------- *)
+
+(* Predicates and aggregate keys run once per packet, so their
+   comparisons, and/or/not and integer arithmetic over Int/Ip operands
+   compile to closures over unboxed ints and bools — the paper's LFTAs
+   test packet fields as plain integers. Each typed closure computes
+   exactly what the generic closure of the same node would: whenever it
+   cannot decide (a Null or non-int operand at run time, division by
+   zero) it raises [Not_int], and the enclosing comparison or key answers
+   with its generic [compile_expr] closure for that tuple instead. *)
+
+exception Not_int
+
+(* A boolean subexpression has no value ([None] from its generic
+   closure); the predicate as a whole is then false. *)
+exception No_value
+
+let is_arith = function
+  | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod | Ast.Band | Ast.Bor | Ast.Shl | Ast.Shr -> true
+  | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.And | Ast.Or -> false
+
+let int_arith op (fa : Value.t array -> int) (fb : Value.t array -> int) =
+  match op with
+  | Ast.Add -> fun tup -> fa tup + fb tup
+  | Ast.Sub -> fun tup -> fa tup - fb tup
+  | Ast.Mul -> fun tup -> fa tup * fb tup
+  | Ast.Div ->
+      fun tup ->
+        let x = fa tup in
+        let y = fb tup in
+        if y = 0 then raise_notrace Not_int else x / y
+  | Ast.Mod ->
+      fun tup ->
+        let x = fa tup in
+        let y = fb tup in
+        if y = 0 then raise_notrace Not_int else x mod y
+  | Ast.Band -> fun tup -> fa tup land fb tup
+  | Ast.Bor -> fun tup -> fa tup lor fb tup
+  | Ast.Shl -> fun tup -> fa tup lsl fb tup
+  | Ast.Shr -> fun tup -> fa tup lsr fb tup
+  | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.And | Ast.Or ->
+      invalid_arg "Codegen.int_arith"
+
+(* [Some f] when [e] is integer arithmetic over Int/Ip fields, parameters
+   and constants: [f tup] is the int inside the generic closure's
+   [Some (Int _ | Ip _)], or raises [Not_int]. *)
+let rec compile_int ~params (e : Expr_ir.t) =
+  match e with
+  | Expr_ir.Const (Value.Int x | Value.Ip x) -> Some (fun _ -> x)
+  | Expr_ir.Field (i, (Ty.Int | Ty.Ip)) ->
+      Some
+        (fun tup ->
+          if i < Array.length tup then
+            match Array.unsafe_get tup i with
+            | Value.Int x | Value.Ip x -> x
+            | _ -> raise_notrace Not_int
+          else raise_notrace Not_int)
+  | Expr_ir.Param (name, (Ty.Int | Ty.Ip)) ->
+      Some
+        (fun _ ->
+          match Hashtbl.find_opt params name with
+          | Some (Value.Int x | Value.Ip x) -> x
+          | _ -> raise_notrace Not_int)
+  | Expr_ir.Binop (op, a, b, _) when is_arith op -> (
+      match (compile_int ~params a, compile_int ~params b) with
+      | Some fa, Some fb -> Some (int_arith op fa fb)
+      | _ -> None)
+  | _ -> None
+
+let int_compare op (fa : Value.t array -> int) (fb : Value.t array -> int) =
+  match op with
+  | Ast.Eq -> fun tup -> fa tup = fb tup
+  | Ast.Ne -> fun tup -> fa tup <> fb tup
+  | Ast.Lt -> fun tup -> fa tup < fb tup
+  | Ast.Le -> fun tup -> fa tup <= fb tup
+  | Ast.Gt -> fun tup -> fa tup > fb tup
+  | Ast.Ge -> fun tup -> fa tup >= fb tup
+  | _ -> invalid_arg "Codegen.int_compare"
+
+(* What a boolean position makes of a value: and/or and the predicate
+   itself take its truthiness; [not] takes only a Bool. *)
+type bool_ctx = Truthy | Strict
+
+let bool_of_value ctx v =
+  match (v, ctx) with
+  | Value.Bool b, _ -> b
+  | v, Truthy -> Value.is_truthy v
+  | _, Strict -> raise_notrace No_value
+
+let bool_of_option ctx = function Some v -> bool_of_value ctx v | None -> raise_notrace No_value
+
+(* [f tup] is [bool_of_option ctx (generic tup)], or raises [No_value]. *)
+let rec compile_bool ~params ctx (e : Expr_ir.t) =
+  match e with
+  | Expr_ir.Binop (((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), a, b, _) -> (
+      match (compile_int ~params a, compile_int ~params b) with
+      | Some fa, Some fb ->
+          let* generic = compile_expr ~params e in
+          let typed = int_compare op fa fb in
+          Ok
+            (fun tup ->
+              match typed tup with
+              | r -> r
+              | exception Not_int -> bool_of_option ctx (generic tup))
+      | _ -> compile_bool_leaf ~params ctx e)
+  | Expr_ir.Binop (Ast.And, a, b, _) ->
+      let* fa = compile_bool ~params Truthy a in
+      let* fb = compile_bool ~params Truthy b in
+      Ok (fun tup -> fa tup && fb tup)
+  | Expr_ir.Binop (Ast.Or, a, b, _) ->
+      let* fa = compile_bool ~params Truthy a in
+      let* fb = compile_bool ~params Truthy b in
+      Ok (fun tup -> fa tup || fb tup)
+  | Expr_ir.Unop (Ast.Not, a) ->
+      let* fa = compile_bool ~params Strict a in
+      Ok (fun tup -> not (fa tup))
+  | Expr_ir.Field (i, _) ->
+      Ok
+        (fun tup ->
+          if i < Array.length tup then bool_of_value ctx (Array.unsafe_get tup i)
+          else raise_notrace No_value)
+  | _ -> compile_bool_leaf ~params ctx e
+
+and compile_bool_leaf ~params ctx e =
+  let* generic = compile_expr ~params e in
+  Ok (fun tup -> bool_of_option ctx (generic tup))
+
 let compile_pred ~params e =
-  let* f = compile_expr ~params e in
-  Ok (fun tup -> match f tup with Some v -> Value.is_truthy v | None -> false)
+  let* f = compile_bool ~params Truthy e in
+  Ok (fun tup -> match f tup with b -> b | exception No_value -> false)
+
+let compile_key ~params (e : Expr_ir.t) =
+  let* generic = compile_expr ~params e in
+  match (e, compile_int ~params e) with
+  (* arithmetic always yields Int; a bare field or constant keeps its own
+     constructor (Ip stays Ip), which the generic closure already does *)
+  | Expr_ir.Binop _, Some f ->
+      Ok (fun tup -> match f tup with n -> Some (Value.Int n) | exception Not_int -> generic tup)
+  | _ -> Ok generic
 
 (* ---------------- operator construction -------------------------------- *)
 
@@ -192,11 +330,11 @@ type instance = {
 
 let set_param inst name v = Hashtbl.replace inst.inst_params name v
 
-let compile_items ~params items =
+let compile_items ?(compile = compile_expr) ~params items =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | (e, _) :: rest ->
-        let* f = compile_expr ~params e in
+        let* f = compile ~params e in
         go (f :: acc) rest
   in
   let* fns = go [] items in
@@ -264,7 +402,7 @@ let make_agg_config ~params ~sample_seed:_ (a : Plan.agg_body) =
         let* f = compile_pred ~params p in
         Ok (Some f)
   in
-  let* key_fns = compile_items ~params a.Plan.keys in
+  let* key_fns = compile_items ~compile:compile_key ~params a.Plan.keys in
   let* aggs = agg_specs ~params a.Plan.aggs in
   let* item_fns = compile_items ~params a.Plan.agg_items in
   let* having =

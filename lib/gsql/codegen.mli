@@ -23,7 +23,19 @@ val compile_expr :
     semantics. *)
 
 val compile_pred : params:params -> Expr_ir.t -> (Rts.Value.t array -> bool, string) result
-(** Predicate view: "no value" is false. *)
+(** Predicate view: "no value" is false. Comparisons, [and]/[or]/[not]
+    and integer arithmetic over Int/Ip operands run unboxed; on every
+    tuple the verdict equals [is_truthy] of {!compile_expr}'s value
+    (false for [None]). A comparison whose typed operands meet a Null or
+    non-int value, or divide by zero, answers with its generic closure
+    for that tuple — so [x <> 4] stays true for a Null [x]. *)
+
+val compile_key :
+  params:params -> Expr_ir.t -> (Rts.Value.t array -> Rts.Value.t option, string) result
+(** An aggregate key expression: integer arithmetic over Int/Ip operands
+    (e.g. [time/60]) runs unboxed and boxes only its result; on every
+    tuple the value equals {!compile_expr}'s, which answers whenever the
+    typed path cannot (Null or non-int operand, division by zero). *)
 
 type source_binder = {
   bind_source :

@@ -71,6 +71,12 @@ let deliver t wire =
       t.bytes_delivered <- t.bytes_delivered + Bytes.length out;
       Some out
 
+let account t len =
+  t.packets_seen <- t.packets_seen + 1;
+  t.packets_delivered <- t.packets_delivered + 1;
+  t.bytes_seen <- t.bytes_seen + len;
+  t.bytes_delivered <- t.bytes_delivered + len
+
 let offloads_lfta t = match t.nic_mode with Programmable _ -> true | Dumb | Filtering _ -> false
 
 let stats t =

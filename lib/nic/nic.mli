@@ -45,6 +45,10 @@ val deliver : t -> bytes -> bytes option
     [None] if the filter rejects it, otherwise the (possibly snapped)
     bytes the host receives. *)
 
+val account : t -> int -> unit
+(** [account t len] counts what a [Dumb] card's {!deliver} counts for a
+    [len]-byte packet — seen and delivered whole — without the bytes. *)
+
 val offloads_lfta : t -> bool
 (** True for [Programmable]: the host does not run LFTA code. *)
 

@@ -56,6 +56,10 @@ let encode t =
       | Raw_transport raw -> Bytes.blit raw 0 buf l4_off (Bytes.length raw));
       buf
 
+let encoded_len t =
+  Ethernet.header_len
+  + match t.net with Non_ip raw -> Bytes.length raw | Ipv4 (ip, _) -> ip.Ipv4.total_len
+
 let ( let* ) = Result.bind
 
 let decode ?(ts = 0.0) ?wire_len buf =

@@ -72,6 +72,11 @@ val icmp :
 val encode : t -> bytes
 (** Full wire bytes of the packet (Ethernet frame). *)
 
+val encoded_len : t -> int
+(** [Bytes.length (encode t)], computed without encoding. For a packet
+    decoded from a snapped capture this is the IP datagram's declared
+    length, which may exceed both the captured bytes and [wire_len]. *)
+
 val decode : ?ts:float -> ?wire_len:int -> bytes -> (t, string) result
 (** Interpret captured bytes. [wire_len] defaults to the buffer length; when
     the capture was truncated by a snap length, pass the original length.

@@ -26,6 +26,8 @@ module Metrics = Gigascope_obs.Metrics
 type t = {
   cfg : config;
   slots : slot option array;
+  probe : Value.t array;
+      (* the current tuple's key; a slot takes a copy only when created *)
   mutable occupied : int;
   mutable high_water : Value.t;
   evictions : Metrics.Counter.t;
@@ -39,6 +41,7 @@ let make cfg =
   {
     cfg;
     slots = Array.make (1 lsl cfg.table_bits) None;
+    probe = Array.make (Array.length cfg.keys) Value.Null;
     occupied = 0;
     high_water = Value.Null;
     evictions = Metrics.Counter.make ();
@@ -70,19 +73,24 @@ let flush_all t ~emit =
       | None -> ())
     t.slots
 
+let fresh_slot t key =
+  { key = Array.copy key; accs = Array.map (fun sp -> Agg_fn.init sp.Agg_fn.kind) t.cfg.aggs }
+
+(* Fill [t.probe] with [values]' key; false when a key expression has no
+   value. *)
+let fill_probe t values =
+  let keys = t.cfg.keys in
+  let ok = ref true in
+  for i = 0 to Array.length keys - 1 do
+    match keys.(i) values with Some v -> t.probe.(i) <- v | None -> ok := false
+  done;
+  !ok
+
 let on_tuple t values ~emit =
   let cfg = t.cfg in
   if (match cfg.pred with Some p -> p values | None -> true) then begin
-  let n = Array.length cfg.keys in
-  let key = Array.make n Value.Null in
-  let ok = ref true in
-  Array.iteri
-    (fun i kf ->
-      match kf values with
-      | Some v -> key.(i) <- v
-      | None -> ok := false)
-    cfg.keys;
-  if !ok then begin
+  let key = t.probe in
+  if fill_probe t values then begin
     (match cfg.epoch_key with
     | Some ek ->
         let v = key.(ek) in
@@ -100,20 +108,20 @@ let on_tuple t values ~emit =
       | Some victim ->
           Metrics.Counter.incr t.evictions;
           emit_slot t victim ~emit;
-          let s = { key = Array.copy key; accs = Array.map (fun sp -> Agg_fn.init sp.Agg_fn.kind) cfg.aggs } in
+          let s = fresh_slot t key in
           t.slots.(idx) <- Some s;
           s
       | None ->
-          let s = { key = Array.copy key; accs = Array.map (fun sp -> Agg_fn.init sp.Agg_fn.kind) cfg.aggs } in
+          let s = fresh_slot t key in
           t.slots.(idx) <- Some s;
           t.occupied <- t.occupied + 1;
           s
     in
-    Array.iteri
-      (fun i (spec : Agg_fn.spec) ->
-        let arg = match spec.Agg_fn.arg with None -> None | Some f -> f values in
-        Agg_fn.step slot.accs.(i) arg)
-      cfg.aggs
+    let aggs = cfg.aggs in
+    for i = 0 to Array.length aggs - 1 do
+      let arg = match aggs.(i).Agg_fn.arg with None -> None | Some f -> f values in
+      Agg_fn.step slot.accs.(i) arg
+    done
   end
   end
 

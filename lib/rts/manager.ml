@@ -244,4 +244,7 @@ let trace_report t =
       (Printf.sprintf
          "(service times sampled every %.0f rounds; cum-ms and ns/tuple are scaled estimates)\n"
          factor);
+  (match Metrics.find snap "rts.scheduler.batch" with
+  | Some (Metrics.Gauge b) -> Buffer.add_string buf (Printf.sprintf "rts.scheduler.batch %.0f\n" b)
+  | _ -> ());
   Buffer.contents buf

@@ -100,7 +100,8 @@ val trace_report : t -> string
     registry: tuples in/out, drops, timed scheduler steps, cumulative
     service time and per-tuple cost. Most accurate after a
     {!Scheduler.run} with [~trace:true] (otherwise service times are
-    sampled and the totals are scaled estimates). *)
+    sampled and the totals are scaled estimates). Ends with the run's
+    effective batch size ([rts.scheduler.batch N]) once a run started. *)
 
 val log_src : Logs.src
 (** The [logs] source ([gigascope.rts]) under which manager lifecycle

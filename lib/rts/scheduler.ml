@@ -22,6 +22,8 @@ let request_heartbeat node =
 let channels_empty node =
   Array.for_all (fun (_, chan) -> Channel.is_empty chan) (Node.inputs node)
 
+let default_quantum = 64
+
 let run ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true) ?heartbeat_period
     ?on_round ?(trace = false) ?(batch = 1) ?supervisor ?shed ?(latency_sample = 0)
     ?(state_slack = 0.0) mgr =
@@ -30,7 +32,7 @@ let run ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true) ?heartbeat_peri
      compose. An explicit quantum wins: callers pinning the scheduling
      granularity (round-indexed hooks, granularity sweeps) keep the round
      structure they asked for, at the price of partial batches. *)
-  let quantum = match quantum with Some q -> q | None -> max 64 batch in
+  let quantum = match quantum with Some q -> q | None -> max default_quantum batch in
   Manager.start mgr;
   let reg = Manager.metrics mgr in
   let rounds_c = Metrics.counter reg "rts.scheduler.rounds" in
@@ -249,7 +251,7 @@ let partition ~domains nodes =
 let run_parallel ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true)
     ?heartbeat_period ?(trace = false) ?(placement = []) ?(batch = 1) ?supervisor ?shed
     ?(latency_sample = 0) ?(state_slack = 0.0) ~domains mgr =
-  let quantum = match quantum with Some q -> q | None -> max 64 batch in
+  let quantum = match quantum with Some q -> q | None -> max default_quantum batch in
   let apply_placement () =
     let rec go = function
       | [] -> Ok ()

@@ -15,6 +15,10 @@ type stats = {
   heartbeat_requests : int;
 }
 
+val default_quantum : int
+(** 64: items per node per round when no [quantum] is given (floored at
+    the batch). Also {!Gigascope.Engine.run}'s default batch. *)
+
 val run :
   ?quantum:int ->
   ?max_rounds:int ->

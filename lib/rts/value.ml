@@ -36,11 +36,22 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* [equal (Int i) (Float f)] holds when [float_of_int i = f], so the two
+   must hash alike. Below 2^53 every int is exact as a float: an integral
+   float there hashes as its int. Beyond it, both hash their float image
+   (ints that round to the same float collide, as they must). *)
+let exact_limit = 9007199254740992 (* 2^53 *)
+
 let hash = function
   | Null -> 17
   | Bool b -> if b then 31 else 37
-  | Int i -> Hashtbl.hash i
-  | Float f -> Hashtbl.hash f
+  | Int i ->
+      if i > -exact_limit && i < exact_limit then Hashtbl.hash i
+      else Hashtbl.hash (float_of_int i)
+  | Float f ->
+      if Float.is_integer f && Float.abs f < float_of_int exact_limit then
+        Hashtbl.hash (int_of_float f)
+      else Hashtbl.hash f
   | Str s -> Hashtbl.hash s
   | Ip i -> Hashtbl.hash (i lxor 0x5bd1e995)
   | Sketch s -> Hashtbl.hash (Sketch.encode s)
@@ -70,7 +81,9 @@ let to_string v = Format.asprintf "%a" pp v
 
 let hash_array arr =
   let h = ref 0 in
-  Array.iter (fun v -> h := (!h * 31) + hash v) arr;
+  for i = 0 to Array.length arr - 1 do
+    h := (!h * 31) + hash arr.(i)
+  done;
   !h land max_int
 
 let equal_array a b =

@@ -522,6 +522,111 @@ let engine_survives_fuzzed_pcap =
       | Error _ -> false
       | Ok _ -> ( match Gigascope.Engine.run engine () with Ok _ -> true | Error _ -> false))
 
+(* ---------------------- typed ≡ generic compilation ------------------- *)
+
+(* Codegen compiles predicates and aggregate keys over unboxed ints, and
+   falls back to the generic closure whenever it cannot decide. The law:
+   on every tuple the typed predicate's verdict is the generic value's
+   truthiness (false for no value), and the typed key is the generic
+   value itself — same constructor, so an Ip field stays Ip. Tuples carry
+   the declared type, Null or a wrong-typed value in every field, and
+   expressions mix Int/Ip, divide and take remainders by zero, shift,
+   read a field past the tuple's end, an unset parameter, and a partial
+   function whose result may be Bool. *)
+module Ir = Gsql.Expr_ir
+module Ast = Gsql.Ast
+
+let typed_fields = [| Rts.Ty.Int; Rts.Ty.Ip; Rts.Ty.Int; Rts.Ty.Float; Rts.Ty.Bool; Rts.Ty.Int |]
+
+let gen_field_value rng ty =
+  match Prng.int rng 8 with
+  | 0 -> Rts.Value.Null
+  | 1 -> Rts.Value.Float (float_of_int (Prng.int rng 7 - 3))
+  | 2 -> Rts.Value.Str "x"
+  | 3 -> Rts.Value.Bool (Prng.bool rng)
+  | _ -> (
+      let small = Prng.int rng 9 - 4 in
+      match ty with
+      | Rts.Ty.Int -> Rts.Value.Int small
+      | Rts.Ty.Ip -> Rts.Value.Ip (abs small)
+      | Rts.Ty.Float -> Rts.Value.Float (float_of_int small /. 2.0)
+      | Rts.Ty.Bool -> Rts.Value.Bool (small > 0)
+      | Rts.Ty.Str | Rts.Ty.Sketch -> Rts.Value.Str "y")
+
+let half_fn =
+  Rts.Func.pure ~name:"half" ~arg_tys:[ Rts.Ty.Int ] ~ret_ty:Rts.Ty.Int ~partial:true (fun args ->
+      match args.(0) with
+      | Rts.Value.Int x when x mod 2 = 0 -> Some (Rts.Value.Int (x / 2))
+      | Rts.Value.Int x when x > 0 -> Some (Rts.Value.Bool true)
+      | _ -> None)
+
+let arith_ops = [| Ast.Add; Ast.Sub; Ast.Mul; Ast.Div; Ast.Mod; Ast.Band; Ast.Bor; Ast.Shl; Ast.Shr |]
+let cmp_ops = [| Ast.Eq; Ast.Ne; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge |]
+let pick rng a = a.(Prng.int rng (Array.length a))
+
+let rec gen_int_expr rng depth : Ir.t =
+  if depth <= 0 || Prng.int rng 3 = 0 then
+    match Prng.int rng 10 with
+    | 0 | 1 | 2 ->
+        let i = Prng.int rng (Array.length typed_fields) in
+        Ir.Field (i, typed_fields.(i))
+    | 3 -> Ir.Field (7, Rts.Ty.Int) (* past the end of every tuple *)
+    | 4 -> Ir.Const (Rts.Value.Int (Prng.int rng 5 - 2))
+    | 5 -> Ir.Const (Rts.Value.Ip (Prng.int rng 4))
+    | 6 -> Ir.Param ((if Prng.bool rng then "p" else "unset"), Rts.Ty.Int)
+    | 7 -> Ir.Const (Rts.Value.Int 0)
+    | 8 -> Ir.Const (pick rng [| Rts.Value.Null; Rts.Value.Float 1.0; Rts.Value.Str "s" |])
+    | _ -> Ir.Call (half_fn, [ gen_int_expr rng (depth - 1) ])
+  else if Prng.int rng 6 = 0 then Ir.Unop (Ast.Neg, gen_int_expr rng (depth - 1))
+  else
+    Ir.Binop (pick rng arith_ops, gen_int_expr rng (depth - 1), gen_int_expr rng (depth - 1), Rts.Ty.Int)
+
+let rec gen_bool_expr rng depth : Ir.t =
+  if depth <= 0 || Prng.int rng 4 = 0 then
+    match Prng.int rng 8 with
+    | 0 -> Ir.Field (4, Rts.Ty.Bool)
+    | 1 -> Ir.Field (Prng.int rng 3, Rts.Ty.Int) (* non-bool truthiness *)
+    | 2 -> Ir.Const (Rts.Value.Bool (Prng.bool rng))
+    | 3 -> Ir.Call (half_fn, [ gen_int_expr rng 1 ])
+    | _ ->
+        Ir.Binop (pick rng cmp_ops, gen_int_expr rng 2, gen_int_expr rng 2, Rts.Ty.Bool)
+  else
+    match Prng.int rng 3 with
+    | 0 -> Ir.Binop (Ast.And, gen_bool_expr rng (depth - 1), gen_bool_expr rng (depth - 1), Rts.Ty.Bool)
+    | 1 -> Ir.Binop (Ast.Or, gen_bool_expr rng (depth - 1), gen_bool_expr rng (depth - 1), Rts.Ty.Bool)
+    | _ -> Ir.Unop (Ast.Not, gen_bool_expr rng (depth - 1))
+
+let typed_compile_law =
+  qtest ~count:1000 "typed predicates and keys ≡ generic compile_expr" QCheck.small_int
+    (fun seed ->
+      let rng = Prng.create (seed + 1) in
+      let params : Gsql.Codegen.params = Hashtbl.create 1 in
+      Hashtbl.replace params "p"
+        (pick rng [| Rts.Value.Int 0; Rts.Value.Int 3; Rts.Value.Ip 2; Rts.Value.Null |]);
+      let pred = gen_bool_expr rng 4 and key = gen_int_expr rng 3 in
+      let ok = function Ok f -> f | Error e -> QCheck.Test.fail_reportf "compile: %s" e in
+      let typed_pred = ok (Gsql.Codegen.compile_pred ~params pred) in
+      let generic_pred = ok (Gsql.Codegen.compile_expr ~params pred) in
+      let typed_key = ok (Gsql.Codegen.compile_key ~params key) in
+      let generic_key = ok (Gsql.Codegen.compile_expr ~params key) in
+      let show = function None -> "none" | Some v -> Rts.Value.to_string v in
+      for _ = 1 to 40 do
+        let tup = Array.map (gen_field_value rng) typed_fields in
+        let want = match generic_pred tup with Some v -> Rts.Value.is_truthy v | None -> false in
+        if typed_pred tup <> want then
+          QCheck.Test.fail_reportf "predicate %s on [%s]: typed %b, generic %b" (Ir.to_string pred)
+            (String.concat "; " (Array.to_list (Array.map Rts.Value.to_string tup)))
+            (not want) want;
+        let got = typed_key tup and exp = generic_key tup in
+        (* constructor-exact: Int 1 and Float 1.0 are Value.equal but
+           different keys on the wire *)
+        if Stdlib.compare got exp <> 0 then
+          QCheck.Test.fail_reportf "key %s on [%s]: typed %s, generic %s" (Ir.to_string key)
+            (String.concat "; " (Array.to_list (Array.map Rts.Value.to_string tup)))
+            (show got) (show exp)
+      done;
+      true)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -540,5 +645,6 @@ let () =
       ("batch-differential", batch_differential);
       ("shard-differential", [shard_count_differential; merge_reorder_fuzz]);
       ("certifier", [certify_laws]);
+      ("typed-compile", [typed_compile_law]);
       ("end-to-end", [engine_survives_fuzzed_pcap]);
     ]

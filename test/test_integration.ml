@@ -373,6 +373,88 @@ let test_nic_filter_reduces_delivery () =
   check Alcotest.int "dumb card delivers everything" 100 (stats_of eng_dumb);
   check Alcotest.int "filtering card delivers only matches" 10 (stats_of eng_bpf)
 
+(* A Dumb card counts every packet whole. It does so from
+   [Packet.encoded_len], not by encoding: the counters must equal the
+   encoded bytes exactly — also for a non-IP frame and for a packet
+   decoded from a snapped capture, whose [wire_len] is the snapped
+   length while its encoding restores the full datagram. *)
+let test_dumb_nic_accounting () =
+  let snapped =
+    let full = Packet.encode (tcp_pkt 0.4 "10.0.0.5" "10.0.0.6" 7 80 (String.make 300 'z')) in
+    match Packet.decode ~ts:0.4 (Packet.truncate ~snap_len:64 full) with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let non_ip =
+    {
+      Packet.ts = 0.3;
+      wire_len = 54;
+      eth =
+        {
+          Gigascope_packet.Ethernet.dst = Packet.default_mac_dst;
+          src = Packet.default_mac_src;
+          ethertype = Gigascope_packet.Ethernet.ethertype_arp;
+        };
+      net = Packet.Non_ip (Bytes.make 40 'a');
+    }
+  in
+  let packets =
+    [
+      tcp_pkt 0.1 "10.0.0.1" "10.0.0.2" 1 80 "hello";
+      udp_pkt 0.2 "10.0.0.3" "10.0.0.4" 53 53 "query";
+      non_ip;
+      snapped;
+      tcp_pkt 0.5 "10.0.0.1" "10.0.0.2" 1 443 "";
+    ]
+  in
+  check Alcotest.bool "snapped wire_len differs from encoded length" true
+    (snapped.Packet.wire_len <> Bytes.length (Packet.encode snapped));
+  let engine = E.create () in
+  E.add_packet_list_interface engine ~name:"eth0" packets;
+  ignore
+    (install engine {| DEFINE { query_name tcp_any; } SELECT time FROM eth0.tcp WHERE protocol = 6 |});
+  let got = collect engine "tcp_any" in
+  ignore (run engine);
+  check Alcotest.int "tcp rows" 3 (List.length (got ()));
+  let bytes = List.fold_left (fun n p -> n + Bytes.length (Packet.encode p)) 0 packets in
+  List.iter
+    (fun p ->
+      check Alcotest.int "encoded_len = encoded bytes" (Bytes.length (Packet.encode p))
+        (Packet.encoded_len p))
+    packets;
+  match E.nic_of engine "eth0" with
+  | None -> Alcotest.fail "nic missing"
+  | Some nic ->
+      let s = Gigascope_nic.Nic.stats nic in
+      check Alcotest.int "packets seen" 5 s.Gigascope_nic.Nic.packets_seen;
+      check Alcotest.int "packets delivered" 5 s.Gigascope_nic.Nic.packets_delivered;
+      check Alcotest.int "bytes seen" bytes s.Gigascope_nic.Nic.bytes_seen;
+      check Alcotest.int "bytes delivered" bytes s.Gigascope_nic.Nic.bytes_delivered
+
+(* An explicit --batch wins over GIGASCOPE_BATCH and the default of 64:
+   --batch 1 must really run tuple-at-a-time. *)
+let test_cli_explicit_batch () =
+  (* the build tree's layout: test/ sits next to bin/ and queries/ *)
+  let root = Filename.dirname (Filename.dirname Sys.executable_name) in
+  let gsq = Filename.concat root (Filename.concat "bin" "gsq.exe") in
+  let query = Filename.concat root (Filename.concat "queries" "tcpdest.gsql") in
+  let batch_line n =
+    let out = Filename.temp_file "gsq_batch" ".out" in
+    let cmd =
+      Printf.sprintf "%s run %s --rate 20 --duration 1 --max-rows 0 --batch %d --trace > %s 2>&1"
+        (Filename.quote gsq) (Filename.quote query) n (Filename.quote out)
+    in
+    let code = Sys.command cmd in
+    let text = In_channel.with_open_bin out In_channel.input_all in
+    Sys.remove out;
+    if code <> 0 then Alcotest.failf "%s exited %d:\n%s" cmd code text;
+    List.find_opt
+      (fun l -> String.starts_with ~prefix:"rts.scheduler.batch" l)
+      (String.split_on_char '\n' text)
+  in
+  check Alcotest.(option string) "--batch 1" (Some "rts.scheduler.batch 1") (batch_line 1);
+  check Alcotest.(option string) "--batch 7" (Some "rts.scheduler.batch 7") (batch_line 7)
+
 (* ------------------------ LFTA batch via engine ------------------------- *)
 
 let test_lfta_after_start_rejected () =
@@ -654,6 +736,8 @@ let () =
           Alcotest.test_case "sampling" `Quick test_sampling;
           Alcotest.test_case "pcap replay" `Quick test_pcap_interface_end_to_end;
           Alcotest.test_case "NIC data reduction" `Quick test_nic_filter_reduces_delivery;
+          Alcotest.test_case "dumb NIC accounting" `Quick test_dumb_nic_accounting;
+          Alcotest.test_case "CLI explicit --batch" `Quick test_cli_explicit_batch;
           Alcotest.test_case "LFTA batch restriction" `Quick test_lfta_after_start_rejected;
           Alcotest.test_case "heartbeats bound merge" `Quick test_heartbeats_bound_merge_buffer;
           Alcotest.test_case "live parameter change" `Quick test_live_parameter_change;

@@ -39,6 +39,45 @@ let value_equal_hash_consistent =
       let va = vint a and vb = vint b in
       (not (Value.equal va vb)) || Value.hash va = Value.hash vb)
 
+(* Group_tbl's contract: [equal a b] implies [hash a = hash b], across
+   constructors too — an Int equals the integral Float of its value. *)
+let value_equal_implies_hash =
+  let near_int =
+    QCheck.Gen.(
+      oneof
+        [
+          small_signed_int;
+          map (fun k -> (1 lsl 53) + k) (int_range (-4) 4);
+          map (fun k -> -(1 lsl 53) + k) (int_range (-4) 4);
+          oneofl [ max_int; min_int; 0 ];
+        ])
+  in
+  let gen_value =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun i -> Value.Int i) near_int;
+          map (fun i -> Value.Float (float_of_int i)) near_int;
+          map (fun i -> Value.Float (float_of_int i +. 0.5)) small_signed_int;
+          oneofl [ Value.Float (-0.0); Value.Float nan; Value.Float infinity; Value.Null ];
+          map (fun i -> Value.Ip i) small_nat;
+          map (fun b -> Value.Bool b) bool;
+        ])
+  in
+  let arb = QCheck.make ~print:(fun (a, b) -> Value.to_string a ^ " / " ^ Value.to_string b)
+      QCheck.Gen.(pair gen_value gen_value) in
+  qtest ~count:2000 "equal a b => hash a = hash b" arb (fun (a, b) ->
+      (not (Value.equal a b))
+      || (Value.hash a = Value.hash b
+         && Value.hash_array [| a; b |] = Value.hash_array [| b; a |]))
+
+let test_value_int_float_hash () =
+  check Alcotest.bool "Int 1 = Float 1.0" true (Value.equal (vint 1) (Value.Float 1.0));
+  check Alcotest.int "hash Int 1 = hash Float 1.0" (Value.hash (vint 1))
+    (Value.hash (Value.Float 1.0));
+  check Alcotest.int "hash Int 0 = hash Float -0.0" (Value.hash (vint 0))
+    (Value.hash (Value.Float (-0.0)))
+
 let test_value_truthy () =
   check Alcotest.bool "bool true" true (Value.is_truthy (Value.Bool true));
   check Alcotest.bool "zero" false (Value.is_truthy (vint 0));
@@ -1115,6 +1154,8 @@ let () =
         [
           Alcotest.test_case "compare" `Quick test_value_compare;
           value_equal_hash_consistent;
+          value_equal_implies_hash;
+          Alcotest.test_case "int/float hash" `Quick test_value_int_float_hash;
           Alcotest.test_case "truthy" `Quick test_value_truthy;
           Alcotest.test_case "arrays" `Quick test_value_arrays;
         ] );
