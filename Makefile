@@ -1,6 +1,6 @@
 # Convenience targets; `make ci` is what a CI job should run.
 
-.PHONY: all build test ci ci-observability ci-cluster ci-certify bench clean
+.PHONY: all build test ci ci-observability ci-cluster ci-certify bench bench-smoke clean
 
 all: build
 
@@ -43,6 +43,7 @@ ci:
 	$(MAKE) ci-observability
 	$(MAKE) ci-cluster
 	$(MAKE) ci-certify
+	$(MAKE) bench-smoke
 
 # The memory-certification gate: every shipped query must carry a
 # finite state bound. `gsq explain --memory` prints UNBOUNDED for any
@@ -125,6 +126,16 @@ ci-cluster:
 
 bench:
 	dune exec bench/main.exe
+
+# The packet-path benchmark as a smoke test: one short e2_flatout run
+# (it builds into .bench_build/, about half a minute end to end) must finish
+# with every answer matching its oracle, i.e. the JSON on its last line
+# reports "correct": true.
+bench-smoke:
+	python3 perfbench/run.py --workload e2_flatout --seed 1 --seconds 10 --trace 0 \
+	    > .bench-smoke.out 2>&1 && tail -n 1 .bench-smoke.out | grep -q '"correct": true' \
+	  || { tail -n 20 .bench-smoke.out; rm -f .bench-smoke.out; exit 1; }
+	rm -f .bench-smoke.out
 
 clean:
 	dune clean

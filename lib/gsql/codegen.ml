@@ -517,12 +517,6 @@ let make_op ~params ~seed (phys : Split.phys_node) =
   | Plan.Agg a ->
       let* cfg = make_agg_config ~params ~sample_seed:seed a in
       if phys.Split.pkind = Rts.Node.Lfta then begin
-        (* A shard replica's partials feed a reunification merge, which
-           needs firm bounds from a replica even when the replica's next
-           epoch is slow to arrive — so replicas translate input
-           punctuation onto the epoch column. Unsharded LFTAs keep
-           swallowing punctuation (the HFTA regenerates bounds). *)
-        let sharded = phys.Split.pshard <> None in
         let lcfg =
           {
             Rts.Lfta_aggregate.table_bits = (if phys.Split.ptable_bits > 0 then phys.Split.ptable_bits else 12);
@@ -534,8 +528,8 @@ let make_op ~params ~seed (phys : Split.phys_node) =
             aggs = cfg.Rts.Aggregate.aggs;
             assemble =
               (fun ~keys ~aggs -> cfg.Rts.Aggregate.assemble ~keys ~aggs);
-            punct_in = (if sharded then cfg.Rts.Aggregate.punct_in else None);
-            epoch_out = (if sharded then cfg.Rts.Aggregate.epoch_out else None);
+            punct_in = cfg.Rts.Aggregate.punct_in;
+            epoch_out = cfg.Rts.Aggregate.epoch_out;
           }
         in
         let agg = Rts.Lfta_aggregate.make lcfg in

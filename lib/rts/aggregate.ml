@@ -23,31 +23,6 @@ type t = {
   mutable done_ : bool;
 }
 
-(* [ahead a b] : does epoch value [a] come after [b] in stream direction? *)
-let ahead cfg a b =
-  match cfg.direction with
-  | Order_prop.Asc -> Value.compare a b > 0
-  | Order_prop.Desc -> Value.compare a b < 0
-
-(* The closing threshold implied by a frontier value: groups strictly
-   behind [frontier - band] can never receive another tuple. *)
-let behind_threshold cfg frontier =
-  if cfg.band = 0.0 then frontier
-  else
-    match Value.to_float frontier with
-    | None -> frontier
-    | Some f ->
-        let shifted =
-          match cfg.direction with Order_prop.Asc -> f -. cfg.band | Desc -> f +. cfg.band
-        in
-        (match frontier with
-        | Value.Int _ ->
-            Value.Int
-              (match cfg.direction with
-              | Order_prop.Asc -> int_of_float (Float.floor shifted)
-              | Desc -> int_of_float (Float.ceil shifted))
-        | _ -> Value.Float shifted)
-
 let step_group g cfg values =
   Array.iteri
     (fun i (spec : Agg_fn.spec) ->
@@ -86,7 +61,7 @@ let flush_behind t ?threshold ~emit () =
             let close =
               match threshold with
               | None -> true
-              | Some thr -> ahead t.cfg thr g.key.(ek)
+              | Some thr -> Order_prop.ahead t.cfg.direction thr g.key.(ek)
             in
             if close then g :: acc else acc)
           t.groups []
@@ -130,10 +105,12 @@ let on_tuple t values ~emit =
     (match cfg.epoch_key with
     | Some ek ->
         let v = key.(ek) in
-        let advanced = t.high_water = Value.Null || ahead cfg v t.high_water in
+        let advanced = t.high_water = Value.Null || Order_prop.ahead cfg.direction v t.high_water in
         if advanced then begin
           t.high_water <- v;
-          flush_behind t ~threshold:(behind_threshold cfg v) ~emit ()
+          flush_behind t
+            ~threshold:(Order_prop.behind_threshold cfg.direction ~band:cfg.band v)
+            ~emit ()
         end
     | None -> ());
     let group =

@@ -7,14 +7,12 @@ type config = {
   band : float;
   aggs : Agg_fn.spec array;
   assemble : keys:Value.t array -> aggs:Value.t array -> Value.t array;
-  (* Punctuation translation, exactly as in {!Aggregate}: [punct_in]
-     maps an input-field bound onto the epoch-key domain, [epoch_out] is
-     the output position the epoch key lands in. With both set, an input
-     punctuation flushes the table (as always) and then emits a
-     translated bound on the output — which the sharded reunification
-     merge needs to advance without waiting for the next tuple. With
-     either [None] (the pre-sharding default) punctuation stays
-     swallowed after the flush. *)
+  (* Punctuation, as in {!Aggregate}: [epoch_out] is the output
+     position the epoch key lands in, [punct_in] maps an input-field
+     bound onto the epoch-key domain. With [epoch_out] set, every epoch
+     advance punctuates the output after its flush; with [punct_in]
+     too, an input punctuation flushes the table and re-emits the
+     translated bound. *)
   punct_in : (int * (Value.t -> Value.t option)) option;
   epoch_out : int option;
 }
@@ -48,11 +46,6 @@ let make cfg =
     emitted = Metrics.Counter.make ();
     done_ = false;
   }
-
-let ahead cfg a b =
-  match cfg.direction with
-  | Order_prop.Asc -> Value.compare a b > 0
-  | Order_prop.Desc -> Value.compare a b < 0
 
 let emit_slot t s ~emit =
   let agg_values = Array.map Agg_fn.final s.accs in
@@ -94,10 +87,22 @@ let on_tuple t values ~emit =
     (match cfg.epoch_key with
     | Some ek ->
         let v = key.(ek) in
-        if t.high_water = Value.Null || ahead cfg v t.high_water then begin
+        if t.high_water = Value.Null || Order_prop.ahead cfg.direction v t.high_water then begin
           (* A fresh epoch: everything in the table belongs to closed
-             epochs (module the band, which the HFTA absorbs). *)
-          if t.high_water <> Value.Null then flush_all t ~emit;
+             epochs (modulo the band, which the HFTA absorbs). The
+             punctuation after the flush tells the HFTA no partial
+             behind the band-aware bound will follow, so it closes the
+             old epoch now rather than at the first partial of the new
+             one, which may sit in the table for a whole epoch. *)
+          if t.high_water <> Value.Null then begin
+            flush_all t ~emit;
+            match cfg.epoch_out with
+            | Some out ->
+                emit
+                  (Item.Punct
+                     [ (out, Order_prop.behind_threshold cfg.direction ~band:cfg.band v) ])
+            | None -> ()
+          end;
           t.high_water <- v
         end
     | None -> ());
@@ -130,10 +135,7 @@ let op t =
     match item with
     | Item.Tuple values -> on_tuple t values ~emit
     | Item.Punct bounds -> (
-        (* Partial groups give no per-field guarantee downstream except via
-           the HFTA; flush so the bound is honoured, then stay silent (the
-           HFTA regenerates bounds from its own epochs) — unless the
-           config carries a punctuation translator, in which case the
+        (* Flush so the bound is honoured; with a translator, the
            source's firm bound maps to an epoch bound on the output. *)
         flush_all t ~emit;
         match (t.cfg.punct_in, t.cfg.epoch_out) with

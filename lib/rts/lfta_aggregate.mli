@@ -8,7 +8,8 @@
 
     The operator therefore emits {e partial} aggregates — possibly several
     per logical group — and relies on a downstream HFTA super-aggregate to
-    complete the computation. Epoch advancement flushes the whole table.
+    complete the computation. Epoch advancement flushes the whole table
+    and then punctuates the epoch column (see [epoch_out]).
     Emitted partials carry no ordering promise except bandedness on the
     epoch key, which {!Order_infer} imputes. *)
 
@@ -25,11 +26,18 @@ type config = {
       (** input punctuation field and its translation onto the epoch-key
           domain (as in {!Aggregate}); with [epoch_out] also set, a
           source punctuation flushes the table and re-emits the
-          translated bound — the liveness signal the sharded
-          reunification merge runs on. [None]: punctuation still
-          flushes, but is swallowed (the pre-sharding behavior). *)
+          translated bound — the liveness signal a quiet input (an
+          empty shard) still gives downstream. [None]: punctuation
+          still flushes, but is swallowed. *)
   epoch_out : int option;
-      (** output position of the epoch key for the translated bound *)
+      (** output position of the epoch key. When set, every epoch
+          advance emits, right after its flush, one
+          [Punct [(epoch_out, b)]] where [b] is
+          {!Order_prop.behind_threshold} of the new high-water: no
+          partial behind [b] follows, so the super-aggregating HFTA
+          closes the old epoch on the new epoch's first tuple instead
+          of waiting for the first new-epoch partial to leave the
+          table. Nothing is emitted before the first epoch. *)
 }
 
 type t

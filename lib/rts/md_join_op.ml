@@ -23,22 +23,17 @@ let make cfg =
   if Array.length cfg.base = 0 then invalid_arg "Md_join_op.make: empty base relation";
   { cfg; accs = fresh_accs cfg; epoch = Value.Null; epochs_emitted = 0; done_ = false }
 
-let ahead cfg a b =
-  match cfg.direction with
-  | Order_prop.Asc -> Value.compare a b > 0
-  | Order_prop.Desc -> Value.compare a b < 0
-
 (* The epoch a value belongs to, honouring the band: values within [band]
    of the frontier stay in the open epoch. *)
 let band_allows cfg ~frontier v =
-  if cfg.band = 0.0 then not (ahead cfg v frontier)
+  if cfg.band = 0.0 then not (Order_prop.ahead cfg.direction v frontier)
   else
     match (Value.to_float v, Value.to_float frontier) with
     | Some fv, Some ff -> (
         match cfg.direction with
         | Order_prop.Asc -> fv <= ff +. cfg.band
         | Order_prop.Desc -> fv >= ff -. cfg.band)
-    | _ -> not (ahead cfg v frontier)
+    | _ -> not (Order_prop.ahead cfg.direction v frontier)
 
 let emit_epoch t ~emit =
   t.epochs_emitted <- t.epochs_emitted + 1;
@@ -60,7 +55,7 @@ let on_tuple t values ~emit =
       emit_epoch t ~emit;
       t.epoch <- v
     end
-    else if ahead cfg v t.epoch then t.epoch <- v
+    else if Order_prop.ahead cfg.direction v t.epoch then t.epoch <- v
   end;
   Array.iteri
     (fun i base_row ->

@@ -47,6 +47,27 @@ let imputed_through_arithmetic t ~monotone_fn =
     | In_group (g, d) -> In_group (g, d)
     | Nonrepeating | Unordered -> Unordered
 
+let ahead d a b =
+  match d with Asc -> Value.compare a b > 0 | Desc -> Value.compare a b < 0
+
+(* Groups strictly behind [frontier - band] can never receive another
+   tuple; an Int frontier keeps an Int threshold, rounded away from the
+   frontier. *)
+let behind_threshold d ~band frontier =
+  if band = 0.0 then frontier
+  else
+    match Value.to_float frontier with
+    | None -> frontier
+    | Some f -> (
+        let shifted = match d with Asc -> f -. band | Desc -> f +. band in
+        match frontier with
+        | Value.Int _ ->
+            Value.Int
+              (match d with
+              | Asc -> int_of_float (Float.floor shifted)
+              | Desc -> int_of_float (Float.ceil shifted))
+        | _ -> Value.Float shifted)
+
 let dir_string = function Asc -> "increasing" | Desc -> "decreasing"
 
 let to_string = function

@@ -46,5 +46,18 @@ val imputed_through_arithmetic : t -> monotone_fn:bool -> t
     strictness is lost, direction and bandedness survive; a
     non-monotone [f] yields [Unordered]. *)
 
+val ahead : direction -> Value.t -> Value.t -> bool
+(** [ahead d a b]: does [a] come strictly after [b] in stream direction
+    [d]? *)
+
+val behind_threshold : direction -> band:float -> Value.t -> Value.t
+(** The closing threshold implied by a high-water value [frontier] of an
+    attribute banded by [band] in direction [d]: [frontier - band]
+    ([+ band] for [Desc]). No later tuple lies strictly behind it, so
+    groups behind it are closed and it is the firm bound an epoch
+    punctuation carries. An Int frontier gives an Int threshold, floored
+    ([Asc]) or ceiled ([Desc]); a frontier with no numeric value is its
+    own threshold. Shared by {!Aggregate} and {!Lfta_aggregate}. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -19,10 +19,32 @@ let request_heartbeat node =
   let visited = ref [] in
   walk_upstream visited node
 
+(* A plain loop: [Array.for_all] allocates a closure per call, and this
+   runs for every node after every step. *)
 let channels_empty node =
-  Array.for_all (fun (_, chan) -> Channel.is_empty chan) (Node.inputs node)
+  let inputs = Node.inputs node in
+  let empty = ref true in
+  for i = 0 to Array.length inputs - 1 do
+    if not (Channel.is_empty (snd inputs.(i))) then empty := false
+  done;
+  !empty
 
 let default_quantum = 64
+
+(* Drain before pull: re-step an operator while it made progress and
+   input is still pending. Nodes run in topological order and nothing
+   refills a node's inputs while it is stepped, so this ends, and what
+   the sources pulled this round reaches the subscribers before the
+   next pull. Without it, a burst larger than the quantum (an LFTA's
+   epoch flush) crosses each hop one quantum per round, and every round
+   waits on a source pull. *)
+let drain node ~quantum =
+  let made = Node.step_inputs node ~quantum in
+  let again = ref made in
+  while !again && not (channels_empty node) do
+    again := Node.step_inputs node ~quantum
+  done;
+  made
 
 let run ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true) ?heartbeat_period
     ?on_round ?(trace = false) ?(batch = 1) ?supervisor ?shed ?(latency_sample = 0)
@@ -77,7 +99,7 @@ let run ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true) ?heartbeat_peri
         (fun node ->
           let step () =
             if Node.kind node = Node.Source then Node.step_source node ~quantum
-            else Node.step_inputs node ~quantum
+            else drain node ~quantum
           in
           let made =
             if timed then begin

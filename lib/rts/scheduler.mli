@@ -1,11 +1,11 @@
 (** Cooperative execution of the query network.
 
     Round-robin over registered nodes in topological order: sources
-    produce a quantum of items, query nodes drain a quantum from each
-    input. After each round, operators that report a blocked input get
-    heartbeats requested on their behalf (the "on-demand" ordering-update
-    tokens of Section 3), propagated upstream to the sources, whose clocks
-    answer with punctuations.
+    produce a quantum of items, query nodes drain their inputs before
+    the next node runs (see {!run}). After each round, operators that
+    report a blocked input get heartbeats requested on their behalf (the
+    "on-demand" ordering-update tokens of Section 3), propagated upstream
+    to the sources, whose clocks answer with punctuations.
 
     A run completes when every source is exhausted, every channel drained,
     and EOF has propagated to the sinks. *)
@@ -62,8 +62,16 @@ val run :
     not flushed early; an explicit [quantum] wins (round-indexed hooks
     keep their round structure) at the price of partial batches.
 
-    [quantum] (default [max 64 batch]) items per node per round; [max_rounds] (default
-    10_000_000) bounds scheduling iterations as a wedge guard;
+    [quantum] (default [max 64 batch]) bounds the items a source pulls
+    per round, and the items a query node takes from each input per
+    step. A query node that made progress is stepped again while any of
+    its inputs is non-empty (drain before pull), so whatever the
+    operators emit from a round's pulls reaches the subscribers within
+    that round, and a burst
+    larger than the quantum (an LFTA's epoch flush) does not wait a
+    source pull per quantum. The output does not depend on the quantum.
+    [max_rounds] (default 10_000_000) bounds scheduling iterations as a
+    wedge guard;
     [heartbeats] (default true) enables on-demand punctuation (requested
     by blocked operators); [heartbeat_period] additionally fires every
     source's clock punctuation every N iterations — the periodic
@@ -130,6 +138,10 @@ val run_parallel :
     on punctuation timing or domain interleaving, so a parallel run
     produces byte-identical subscriber output to a single-threaded run
     (verified by test/test_parallel.ml).
+
+    With [domains > 1], unlike {!run}, every node is stepped once per
+    round: a worker domain's inputs fill while it runs, so draining
+    them until empty need not end.
 
     [batch] behaves as in {!run}; one cross-domain push then moves a
     whole batch under a single lock acquire, and the cross-channel

@@ -627,6 +627,66 @@ let typed_compile_law =
       done;
       true)
 
+(* ---------------------- punctuation is firm ----------------------------- *)
+
+(* Punctuation law: a bound is a promise. Every node's emitted item
+   sequence is watched; once a node has punctuated column f with bound
+   b, no later tuple from it may lie strictly behind b in the column's
+   declared direction. LFTAs punctuate their own epoch advances, so this
+   covers every split aggregation's LFTA→HFTA edge as well as source
+   clocks, merges and HFTAs, over every differential workload at the
+   per-item and default batch sizes, on one domain. A periodic source heartbeat
+   makes every workload punctuate. The single-interface workloads' own
+   traffic spans one epoch, so they also run over three seconds of it,
+   which makes their LFTAs advance epochs. *)
+let punct_law =
+  List.map
+    (fun (w : Workloads.workload) ->
+      let multi_epoch =
+        if List.mem w.Workloads.wname [ "http_fraction"; "subnet_volume"; "syn_flood"; "tcpdest" ]
+        then [ (Workloads.eth0_setup ~rate:10.0 ~duration:3.0, 5, 64) ]
+        else []
+      in
+      Alcotest.test_case w.Workloads.wname `Slow (fun () ->
+          List.iter
+            (fun (setup, seed, batch) ->
+              let engine = Gigascope.Engine.create () in
+              setup ~seed engine;
+              (match Gigascope.Engine.install_program engine ~params:w.Workloads.params (w.Workloads.program ()) with
+              | Ok _ -> ()
+              | Error e -> Alcotest.failf "%s: install: %s" w.Workloads.wname e);
+              let mgr = Gigascope.Engine.manager engine in
+              let puncts = ref 0 in
+              List.iter
+                (fun node ->
+                  let name = Rts.Node.name node in
+                  let schema = Rts.Node.schema node in
+                  let bounds = Hashtbl.create 4 in
+                  Result.get_ok
+                    (Rts.Manager.on_item mgr name (function
+                      | Rts.Item.Punct bs ->
+                          incr puncts;
+                          List.iter (fun (f, b) -> Hashtbl.replace bounds f b) bs
+                      | Rts.Item.Tuple t ->
+                          Hashtbl.iter
+                            (fun f b ->
+                              match Rts.Order_prop.direction_of (Rts.Schema.field_at schema f).Rts.Schema.order with
+                              | Some dir when Rts.Order_prop.ahead dir b t.(f) ->
+                                  Alcotest.failf "%s seed %d batch %d: %s emitted %s = %s behind its bound %s"
+                                    w.Workloads.wname seed batch name
+                                    (Rts.Schema.field_at schema f).Rts.Schema.name
+                                    (Rts.Value.to_string t.(f)) (Rts.Value.to_string b)
+                              | _ -> ())
+                            bounds
+                      | _ -> ())))
+                (Rts.Manager.nodes mgr);
+              (match Gigascope.Engine.run engine ~parallel:1 ~batch ~heartbeat_period:5 () with
+              | Ok _ -> ()
+              | Error e -> Alcotest.failf "%s: run: %s" w.Workloads.wname e);
+              if !puncts = 0 then Alcotest.failf "%s: no punctuation observed" w.Workloads.wname)
+            ([ (w.Workloads.setup, 3, 1); (w.Workloads.setup, 17, 64) ] @ multi_epoch)))
+    Workloads.workloads
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -643,6 +703,7 @@ let () =
       ("tables", [lpm_table_never_raises]);
       ("xchannel", [xchannel_fuzz]);
       ("batch-differential", batch_differential);
+      ("punct-law", punct_law);
       ("shard-differential", [shard_count_differential; merge_reorder_fuzz]);
       ("certifier", [certify_laws]);
       ("typed-compile", [typed_compile_law]);

@@ -716,6 +716,91 @@ let test_three_way_merge () =
   ignore (run engine);
   check_rows "three-way merge in order" ["1"; "2"; "3"; "4"; "5"; "6"] (got ())
 
+
+(* ----------------------- round-level close latency ---------------------- *)
+
+(* A feed that counts the packets it has handed out and notes when it
+   reports end of input; a callback reading the counter learns how far
+   the source had pulled when a row reached it. *)
+let counting_feed packets =
+  let arr = Array.of_list packets in
+  let handed = ref 0 and eof = ref false in
+  let feed () =
+    let i = ref 0 in
+    fun () ->
+      if !i < Array.length arr then begin
+        incr handed;
+        incr i;
+        Some arr.(!i - 1)
+      end
+      else begin
+        eof := true;
+        None
+      end
+  in
+  (feed, handed, eof)
+
+(* An LFTA's epoch flush is larger than the scheduler quantum. Operators
+   drain their inputs before the source pulls again, and the LFTA
+   punctuates its epoch advance, so the HFTA closes epoch 0 within the
+   round that pulls epoch 1's first packet: no more than one quantum
+   after it. Both tests run on one domain, whatever GIGASCOPE_PARALLEL
+   says: with worker domains, how far the source runs ahead of an HFTA
+   is up to the OS scheduler. *)
+let test_epoch_closes_within_round () =
+  let n0 = 600 and n1 = 200 in
+  let src i = Printf.sprintf "10.%d.%d.1" (i / 200) (i mod 200) in
+  let packets =
+    List.init n0 (fun i -> tcp_pkt (0.5 +. (float_of_int i /. 4000.)) (src i) "10.9.9.9" 1 80 "")
+    @ List.init n1 (fun i -> tcp_pkt (1.5 +. (float_of_int i /. 4000.)) (src i) "10.9.9.9" 1 80 "")
+  in
+  let feed, handed, _ = counting_feed packets in
+  let engine = E.create () in
+  E.add_interface engine ~name:"eth0" ~feed ();
+  ignore
+    (install engine
+       {| DEFINE { query_name persrc; }
+          SELECT tb, srcip, count(*) as c FROM eth0.tcp GROUP BY time/1 as tb, srcip |});
+  let epoch0 = ref 0 and last_epoch0_at = ref 0 in
+  Result.get_ok
+    (E.on_tuple engine "persrc" (fun t ->
+         if t.(0) = Value.Int 0 then begin
+           incr epoch0;
+           last_epoch0_at := !handed
+         end));
+  (match E.run engine ~parallel:1 () with Ok _ -> () | Error e -> Alcotest.fail e);
+  check Alcotest.int "every epoch-0 group delivered" n0 !epoch0;
+  let limit = n0 + Rts.Scheduler.default_quantum in
+  if !last_epoch0_at > limit then
+    Alcotest.failf "last epoch-0 row arrived after %d packets were handed out (limit %d)"
+      !last_epoch0_at limit
+
+(* One group per epoch, as e2_port80cnt: the LFTA table holds epoch 1's
+   only group until end of input, so without the LFTA's epoch
+   punctuation the HFTA would close epoch 0 at EOF. *)
+let test_single_group_epoch_closes_before_eof () =
+  let packets =
+    List.init 300 (fun i ->
+        tcp_pkt (float_of_int i /. 150.) "10.0.0.1" "10.0.0.2" 1 80 "")
+  in
+  let feed, _, eof = counting_feed packets in
+  let engine = E.create () in
+  E.add_interface engine ~name:"eth0" ~feed ();
+  ignore
+    (install engine
+       {| DEFINE { query_name p80; }
+          SELECT tb, count(*) as cnt FROM eth0.tcp WHERE destport = 80
+          GROUP BY time/1 as tb |});
+  let before_eof = ref [] in
+  Result.get_ok
+    (E.on_tuple engine "p80" (fun t -> before_eof := (row_to_string t, not !eof) :: !before_eof));
+  (match E.run engine ~parallel:1 () with Ok _ -> () | Error e -> Alcotest.fail e);
+  check
+    Alcotest.(list (pair string bool))
+    "epoch 0 closes before end of input"
+    [ ("0,150", true); ("1,150", false) ]
+    (List.rev !before_eof)
+
 let () =
   Alcotest.run "integration"
     [
@@ -747,5 +832,8 @@ let () =
           Alcotest.test_case "merge over protocols" `Quick test_merge_directly_over_protocols;
           Alcotest.test_case "join over protocols" `Quick test_join_directly_over_protocols;
           Alcotest.test_case "multi-instance params" `Quick test_multiple_instances_different_params;
+          Alcotest.test_case "epoch closes within a round" `Quick test_epoch_closes_within_round;
+          Alcotest.test_case "one-group epoch closes before eof" `Quick
+            test_single_group_epoch_closes_before_eof;
         ] );
     ]

@@ -473,6 +473,88 @@ let test_lfta_eviction_counting () =
   check Alcotest.int "evictions" 2 (Rts.Lfta_aggregate.evictions lfta);
   check Alcotest.int "three partials out" 3 (List.length (tuples out))
 
+(* Epoch punctuation: every epoch advance (never the first epoch) emits
+   one Punct on [epoch_out], after the tuples its flush produced,
+   carrying the band-aware bound of the new high-water. *)
+let lfta_punct_cfg ~direction ~band =
+  {
+    Rts.Lfta_aggregate.table_bits = 4;
+    pred = None;
+    keys = [| (fun t -> Some t.(0)); (fun t -> Some t.(1)) |];
+    epoch_key = Some 0;
+    direction;
+    band;
+    aggs = [| { Agg_fn.kind = Agg_fn.Count; arg = None } |];
+    assemble = (fun ~keys ~aggs -> Array.append keys aggs);
+    punct_in = None;
+    epoch_out = Some 0;
+  }
+
+let show_item = function
+  | Item.Tuple t -> "T" ^ String.concat "," (List.map Value.to_string (Array.to_list t))
+  | Item.Punct b ->
+      "P" ^ String.concat "," (List.map (fun (f, v) -> Printf.sprintf "%d:%s" f (Value.to_string v)) b)
+  | Item.Eof -> "EOF"
+  | Item.Flush -> "FLUSH"
+  | Item.Error _ | Item.Gap _ -> "CTRL"
+
+(* The run of tuples before each control item, sorted (slot order is
+   the table's business), then the control item itself. *)
+let segments items =
+  let close acc run = if run = [] then acc else List.sort compare run :: acc in
+  let rec go acc run = function
+    | [] -> List.rev (close acc run)
+    | (Item.Tuple _ as it) :: rest -> go acc (show_item it :: run) rest
+    | ctrl :: rest -> go ([ show_item ctrl ] :: close acc run) [] rest
+  in
+  go [] [] items
+
+let test_lfta_epoch_punct () =
+  let t e k = Item.Tuple [| e; vint k |] in
+  let run ~direction ~band items =
+    segments (run_op (Rts.Lfta_aggregate.op (Rts.Lfta_aggregate.make (lfta_punct_cfg ~direction ~band))) items)
+  in
+  check
+    Alcotest.(list (list string))
+    "monotone asc: one punct per advance, after its flush"
+    [
+      [ "T0,1,2"; "T0,2,1" ]; [ "P0:1" ]; [ "T1,1,1" ]; [ "P0:3" ]; [ "T3,2,1" ]; [ "EOF" ];
+    ]
+    (run ~direction:Order_prop.Asc ~band:0.0
+       [ t (vint 0) 1; t (vint 0) 2; t (vint 0) 1; t (vint 1) 1; t (vint 3) 2; Item.Eof ]);
+  (* Banded (Asc, 30): the bound trails the high-water by the band; a
+     tuple behind the high-water but inside the band moves nothing. *)
+  check
+    Alcotest.(list (list string))
+    "banded asc: bound = high-water - band"
+    [ [ "T10,1,1" ]; [ "P0:20" ]; [ "T25,1,1"; "T50,1,1" ]; [ "P0:30.5" ]; [ "T60.5,1,1" ]; [ "EOF" ] ]
+    (run ~direction:Order_prop.Asc ~band:30.0
+       [ t (vint 10) 1; t (vint 50) 1; t (vint 25) 1; t (Value.Float 60.5) 1; Item.Eof ]);
+  check
+    Alcotest.(list (list string))
+    "desc: the bound sits above the high-water"
+    [ [ "T9,1,1" ]; [ "P0:7" ]; [ "T7,1,1" ]; [ "EOF" ] ]
+    (run ~direction:Order_prop.Desc ~band:0.0 [ t (vint 9) 1; t (vint 7) 1; Item.Eof ]);
+  check
+    Alcotest.(list (list string))
+    "banded desc: bound = high-water + band"
+    [ [ "T50,1,1" ]; [ "P0:70" ]; [ "T40,1,1" ]; [ "EOF" ] ]
+    (run ~direction:Order_prop.Desc ~band:30.0 [ t (vint 50) 1; t (vint 40) 1; Item.Eof ]);
+  (* nothing before the first epoch, and none without an epoch column *)
+  check
+    Alcotest.(list (list string))
+    "first epoch: no punct"
+    [ [ "T4,1,2" ]; [ "EOF" ] ]
+    (run ~direction:Order_prop.Asc ~band:0.0 [ t (vint 4) 1; t (vint 4) 1; Item.Eof ]);
+  let silent =
+    Rts.Lfta_aggregate.make { (lfta_punct_cfg ~direction:Order_prop.Asc ~band:0.0) with epoch_out = None }
+  in
+  check Alcotest.int "no epoch_out: no punct" 0
+    (List.length
+       (List.filter
+          (function Item.Punct _ -> true | _ -> false)
+          (run_op (Rts.Lfta_aggregate.op silent) [ t (vint 0) 1; t (vint 1) 1; t (vint 2) 1 ])))
+
 (* ------------------------------- Merge --------------------------------- *)
 
 let merge_outputs_ordered =
@@ -1200,6 +1282,7 @@ let () =
         [
           two_level_equivalence;
           Alcotest.test_case "eviction counting" `Quick test_lfta_eviction_counting;
+          Alcotest.test_case "epoch punctuation" `Quick test_lfta_epoch_punct;
         ] );
       ( "merge",
         [
