@@ -438,18 +438,16 @@ let e3_select_aggregate ~n ~domains ~batch =
   let out = Result.get_ok (Rts.Manager.subscribe mgr "agg") in
   Gc.compact ();
   let t0 = Unix.gettimeofday () in
-  (match
-     if domains > 1 then Rts.Scheduler.run_parallel ~domains ~batch mgr
-     else Rts.Scheduler.run ~batch mgr
-   with
+  (match Rts.Scheduler.run ~domains ~batch mgr with
   | Ok _ -> ()
   | Error e -> failwith ("e3 select+aggregate: " ^ e));
   let dt = Unix.gettimeofday () -. t0 in
   let fingerprint = Buffer.create 4096 in
   let rec drain () =
-    match Rts.Channel.pop out with
-    | Some item ->
-        Buffer.add_string fingerprint (Format.asprintf "%a@." Rts.Item.pp item);
+    match Rts.Channel.pop_batch out with
+    | Some batch ->
+        Rts.Batch.iter batch (fun item ->
+            Buffer.add_string fingerprint (Format.asprintf "%a@." Rts.Item.pp item));
         drain ()
     | None -> ()
   in

@@ -579,22 +579,14 @@ let run t ?quantum ?heartbeats ?heartbeat_period ?on_round ?trace ?parallel ?pla
   | Ok false -> ()
   | Error e -> Log.warn (fun m -> m "%s; no faults installed" e));
   let supervisor = Rts.Supervisor.create ~policy ~restart_budget () in
-  (* on_round hooks mutate live operator state (set_param, flush) from the
-     caller; racing them against worker domains is unsound, so their
-     presence forces the single-threaded scheduler. *)
-  let domains = if on_round <> None then 1 else domains in
   Log.info (fun m ->
       m "run: %d nodes%s%s"
         (List.length (Rts.Manager.nodes t.mgr))
         (if domains > 1 then Printf.sprintf " on %d domains" domains else "")
         (if batch > 1 then Printf.sprintf ", batch %d" batch else ""));
   let result =
-    if domains > 1 then
-      Rts.Scheduler.run_parallel ?quantum ?heartbeats ?heartbeat_period ?trace ?placement
-        ~batch ~domains ~supervisor ?shed ~latency_sample ~state_slack t.mgr
-    else
-      Rts.Scheduler.run ?quantum ?heartbeats ?heartbeat_period ?on_round ?trace ~batch
-        ~supervisor ?shed ~latency_sample ~state_slack t.mgr
+    Rts.Scheduler.run ?quantum ?heartbeats ?heartbeat_period ?on_round ?trace ~domains ?placement
+      ~batch ~supervisor ?shed ~latency_sample ~state_slack t.mgr
   in
   (match result with
   | Ok stats ->

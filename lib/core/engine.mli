@@ -196,13 +196,13 @@ val run :
     every scheduler step (instead of a 1-in-8 sample) so
     {!trace_report} gives exact per-operator costs.
 
-    [parallel] (default from [GIGASCOPE_PARALLEL], else 1) > 1 runs the
-    network on that many OCaml domains via
-    {!Rts.Scheduler.run_parallel} — HFTAs on worker domains, sources and
-    LFTAs on the caller; [placement] pins named nodes to domains. Output
-    is byte-identical to the single-threaded run. [on_round] forces
-    single-threaded execution (the hook mutates live operator state,
-    which must not race worker domains).
+    [parallel] (default from [GIGASCOPE_PARALLEL], else 1) is the
+    number of OCaml domains {!Rts.Scheduler.run} uses — HFTAs on worker
+    domains, sources and LFTAs on the caller; [placement] pins named
+    nodes to domains. Output is byte-identical to the one-domain run.
+    [on_round] needs one domain (the hook mutates live operator state,
+    which must not race worker domains): with [parallel] > 1, from the
+    argument or the environment, the run is an [Error].
 
     [batch] (default from [GIGASCOPE_BATCH], else
     {!Rts.Scheduler.default_quantum}, 64) vectorizes the data plane:

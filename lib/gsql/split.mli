@@ -43,7 +43,7 @@ type phys_node = {
   ptable_bits : int;
       (** direct-mapped table size for an LFTA aggregation body *)
   pplace : int option;
-      (** pinned execution domain for {!Gigascope_rts.Scheduler.run_parallel};
+      (** pinned execution domain for {!Gigascope_rts.Scheduler.run};
           HFTAs only (LFTAs stay on the packet-path domain) *)
   pshard : shard_tag option;
       (** set by {!shard} on the replicas of a sharded chain *)

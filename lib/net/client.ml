@@ -29,14 +29,14 @@ type t = {
   c_gaps : Metrics.Counter.t;
   mutable server : string;
   mutable sub : (string * int) option;  (* subscribed query, server-side sub id *)
-  mutable delivered : int;  (* tuples handed to the application: the resume token *)
+  mutable token : int;  (* tuples handed to the application plus announced losses *)
   mutable pending : Item.t list;  (* unbatched items not yet handed out *)
   mutable at_eof : bool;
   mutable last_bounds : (int * Rts.Value.t) list;
 }
 
 let server_name t = t.server
-let delivered t = t.delivered
+let token t = t.token
 
 (* One dial + Hello exchange; shared by [connect] and the redial loop. *)
 let dial ~peer_name ~idle_timeout addr =
@@ -89,7 +89,7 @@ let connect ?(peer_name = "gsq-client") ?reconnect ?idle_timeout ?metrics addr =
       c_gaps = cnt "net.gaps";
       server;
       sub = None;
-      delivered = 0;
+      token = 0;
       pending = [];
       at_eof = false;
       last_bounds = [];
@@ -114,10 +114,11 @@ let subscribe t name =
   | Error _ as e -> e
 
 (* Redial with exponential backoff plus jitter, then [Resume] the
-   subscription with the delivered-tuple count as the token. The jitter
-   comes from a seeded generator so a chaos run retries at the same
-   instants every time. A server that explicitly refuses the resume ends
-   the loop at once — only transport failures are worth retrying. *)
+   subscription with the token (tuples delivered plus losses announced).
+   The jitter comes from a seeded generator so a chaos run retries at
+   the same instants every time. A server that explicitly refuses the
+   resume ends the loop at once — only transport failures are worth
+   retrying. *)
 let try_resume t =
   match (t.reconnect, t.sub) with
   | None, _ -> Error "connection lost (no reconnect configured)"
@@ -135,7 +136,7 @@ let try_resume t =
           | Error _ -> attempt (n + 1)
           | Ok (conn, server) -> (
               match
-                Conn.send conn (Wire.Resume { name; sub_id; token = t.delivered })
+                Conn.send conn (Wire.Resume { name; sub_id; token = t.token })
               with
               | Error _ ->
                   Conn.close conn;
@@ -164,8 +165,12 @@ let rec next t =
       t.pending <- rest;
       (match item with
       | Item.Punct bounds -> t.last_bounds <- bounds
-      | Item.Tuple _ -> t.delivered <- t.delivered + 1
-      | Item.Gap _ -> Metrics.Counter.incr t.c_gaps
+      | Item.Tuple _ -> t.token <- t.token + 1
+      | Item.Gap n ->
+          Metrics.Counter.incr t.c_gaps;
+          (* an announced loss is accounted for: a later resume must not
+             announce it again *)
+          if n > 0 then t.token <- t.token + n
       | Item.Flush | Item.Error _ | Item.Eof -> ());
       if item = Item.Eof then begin
         t.at_eof <- true;

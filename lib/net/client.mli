@@ -39,9 +39,9 @@ val connect :
 
     With [reconnect], a connection lost {e while subscribed} is
     self-healed: redial with exponential backoff plus seeded jitter,
-    then [Resume] with the delivered-tuple count as the token — the
-    server replays what it still holds and announces the rest as one
-    [Item.Gap]. Counted under [net.reconnects] when [metrics] is given.
+    then [Resume] with the tuples delivered plus the losses already
+    announced as the token ({!token}) — the server replays what it
+    still holds and announces the rest as one [Item.Gap]. Counted under [net.reconnects] when [metrics] is given.
 
     With [idle_timeout] (seconds), a {!next} that sees no frame for
     that long fails with a timeout [Error] instead of blocking forever
@@ -49,8 +49,10 @@ val connect :
     Size it to a multiple of the server's heartbeat interval: a live
     but quiet server keeps the deadline fed with [Heartbeat] frames. *)
 
-val delivered : t -> int
-(** Tuples handed to the application so far — the resume token. *)
+val token : t -> int
+(** The resume token: tuples handed to the application so far, plus the
+    sizes of the [Item.Gap] markers handed to it (losses already
+    announced, which a later resume must not announce again). *)
 
 val server_name : t -> string
 (** The server's self-reported identity from its [Hello]. *)

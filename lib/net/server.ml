@@ -49,12 +49,14 @@ type sub = {
      sub instead of killing it: the queue keeps filling (never blocking
      the engine — Block degrades to dropping for an orphan), and a
      client quoting [sub_id] in a [Resume] re-attaches to it. [s_sent]
-     counts tuples popped for sending; the client's resume token counts
-     tuples actually delivered, so [s_sent - token] is exactly the
-     in-flight loss to announce as a leading [Item.Gap]. Tuples dropped
-     by policy accumulate in [s_pending_gap] and enter the queue as an
-     in-band [Item.Gap] marker in their true stream position, so replay
-     after a resume reports every hole. *)
+     counts the tuples popped for sending plus the sizes of the popped
+     [Item.Gap] markers; the client's resume token counts the same of
+     what actually reached it (announced resume gaps included), so
+     [s_sent - token] is exactly the in-flight loss not yet announced,
+     however many resumes came before. Tuples dropped by policy
+     accumulate in [s_pending_gap] and enter the queue as an in-band
+     [Item.Gap] marker in their true stream position, so replay after a
+     resume reports every hole. *)
   mutable s_orphaned : bool;
   mutable s_sent : int;
   mutable s_pending_gap : int;
@@ -459,7 +461,13 @@ let writer_loop ?(initial_gap = 0) t conn sub =
       (* popped is as good as sent for resume accounting: a tuple that
          dies between here and the socket is exactly what the client's
          token subtraction turns into a gap *)
-      List.iter (fun (it, _) -> if Item.is_tuple it then sub.s_sent <- sub.s_sent + 1) items;
+      List.iter
+        (fun (it, _) ->
+          match it with
+          | Item.Tuple _ -> sub.s_sent <- sub.s_sent + 1
+          | Item.Gap n when n > 0 -> sub.s_sent <- sub.s_sent + n
+          | _ -> ())
+        items;
       sub.s_items <- sub.s_items - n;
       Condition.broadcast sub.s_not_full;
       let disconnected = sub.s_disconnected in

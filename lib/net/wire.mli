@@ -70,7 +70,8 @@ type msg =
   | Resume of { name : string; sub_id : int; token : int }
       (** Re-attach to subscription [sub_id] of query [name] after a
           reconnect. [token] is the count of tuples the client has
-          already delivered; the server replays anything newer still in
+          already delivered plus the sizes of the [Item.Gap] markers it
+          has received; the server replays anything newer still in
           the egress queue, or seals the first batch with an explicit
           [Item.Gap] when tuples are unrecoverable. *)
   | Heartbeat

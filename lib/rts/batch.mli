@@ -28,15 +28,7 @@ val make : ?stamps:int array -> Value.t array array -> Item.t option -> t
     batch afterwards. *)
 
 val of_item : Item.t -> t
-(** A singleton batch — how the item-level channel API is expressed on
-    the batched transport. *)
-
-val of_items : Item.t list -> t
-(** Rebuild from a list in batch shape (tuples first, then at most one
-    trailing control item); raises [Invalid_argument] otherwise.
-    Stamps, if the items came from a stamped batch, are not
-    reconstructed — the remainder path is best-effort for the sampled
-    measurement. *)
+(** A singleton batch: how a single item travels through a channel. *)
 
 val tuples : t -> Value.t array array
 

@@ -2,23 +2,20 @@ module Ring = Gigascope_util.Ring
 module Metrics = Gigascope_obs.Metrics
 
 (* A channel starts Local (plain bounded ring, single-domain cooperative
-   scheduling). run_parallel promotes edges that cross a domain boundary
+   scheduling). Scheduler.run promotes edges that cross a domain boundary
    to Cross before any domain spawns; Node.step_inputs and the operators
    never notice the difference.
 
    The transport unit is a Batch: one ring slot (or one lock acquire on
-   a promoted channel) moves a whole run of tuples. The item-level
-   push/pop/peek API is kept as singleton-batch wrappers, with [cur]
-   holding the consumer-side remainder of a partially consumed batch —
-   only the consumer touches it, so it is as single-threaded as the ring
-   itself. *)
-type impl = Local of Batch.t Ring.t | Cross of Xchannel.t
+   a promoted channel) moves a whole run of tuples. A Local ring keeps a
+   running item count, so [length] (read by source-side shedding on
+   every pulled tuple) costs nothing however full the ring is. *)
+type impl = Local of { ring : Batch.t Ring.t; mutable n_items : int } | Cross of Xchannel.t
 
 type t = {
   name : string;
   capacity : int;
   mutable impl : impl;
-  mutable cur : Item.t list;  (* consumer-side remainder of a popped batch *)
   tuples_in : Metrics.Counter.t;
   dropped : Metrics.Counter.t;
   occupancy : Metrics.Histogram.t;  (* items per pushed batch *)
@@ -28,8 +25,7 @@ let create ?(capacity = 4096) ~name () =
   {
     name;
     capacity;
-    impl = Local (Ring.create ~capacity);
-    cur = [];
+    impl = Local { ring = Ring.create ~capacity; n_items = 0 };
     tuples_in = Metrics.Counter.make ();
     dropped = Metrics.Counter.make ();
     occupancy = Metrics.Histogram.make ();
@@ -41,8 +37,9 @@ let capacity t = t.capacity
 let push_batch t batch =
   let nt = Batch.n_tuples batch in
   match t.impl with
-  | Local ring ->
-      if Ring.push ring batch then begin
+  | Local l ->
+      if Ring.push l.ring batch then begin
+        l.n_items <- l.n_items + Batch.items batch;
         if nt > 0 then Metrics.Counter.add t.tuples_in nt;
         Metrics.Histogram.observe t.occupancy (float_of_int (Batch.items batch));
         true
@@ -58,7 +55,11 @@ let push_batch t batch =
         match Batch.ctrl batch with
         | Some ((Item.Eof | Item.Error _) as ctrl) ->
             if nt > 0 then Metrics.Counter.add t.dropped nt;
-            Ring.push_force ring (Batch.of_item ctrl);
+            (match Ring.pop l.ring with
+            | Some evicted -> l.n_items <- l.n_items - Batch.items evicted
+            | None -> ());
+            ignore (Ring.push l.ring (Batch.of_item ctrl));
+            l.n_items <- l.n_items + 1;
             Metrics.Histogram.observe t.occupancy 1.0;
             true
         | Some (Item.Punct _ | Item.Flush | Item.Gap _) ->
@@ -89,84 +90,43 @@ let push_batch t batch =
       end;
       ok
 
-let push t item = push_batch t (Batch.of_item item)
-
-let impl_pop_batch t =
-  match t.impl with Local ring -> Ring.pop ring | Cross xc -> Xchannel.pop_batch xc
-
 let pop_batch t =
-  match t.cur with
-  | [] -> impl_pop_batch t
-  | items ->
-      t.cur <- [];
-      Some (Batch.of_items items)
-
-let rec pop t =
-  match t.cur with
-  | item :: rest ->
-      t.cur <- rest;
-      Some item
-  | [] -> (
-      match impl_pop_batch t with
-      | Some b ->
-          t.cur <- Batch.to_items b;
-          pop t
+  match t.impl with
+  | Local l -> (
+      match Ring.pop l.ring with
+      | Some b as r ->
+          l.n_items <- l.n_items - Batch.items b;
+          r
       | None -> None)
+  | Cross xc -> Xchannel.pop_batch xc
 
-let peek t =
-  match t.cur with
-  | item :: _ -> Some item
-  | [] -> (
-      match impl_pop_batch t with
-      | Some b -> (
-          t.cur <- Batch.to_items b;
-          match t.cur with item :: _ -> Some item | [] -> None)
-      | None -> None)
-
-let length t =
-  let buffered =
-    match t.impl with
-    | Local ring ->
-        let n = ref 0 in
-        Ring.iter (fun b -> n := !n + Batch.items b) ring;
-        !n
-    | Cross xc -> Xchannel.length xc
-  in
-  List.length t.cur + buffered
+let length t = match t.impl with Local l -> l.n_items | Cross xc -> Xchannel.length xc
 
 let is_empty t =
-  t.cur = []
-  && match t.impl with Local ring -> Ring.is_empty ring | Cross xc -> Xchannel.is_empty xc
+  match t.impl with Local l -> Ring.is_empty l.ring | Cross xc -> Xchannel.is_empty xc
 
 let tuples_in t = Metrics.Counter.get t.tuples_in
 let drops t = Metrics.Counter.get t.dropped
 
 let high_water t =
-  match t.impl with Local ring -> Ring.high_water ring | Cross xc -> Xchannel.high_water xc
+  match t.impl with Local l -> Ring.high_water l.ring | Cross xc -> Xchannel.high_water xc
 
 let is_cross t = match t.impl with Cross _ -> true | Local _ -> false
 
 let promote_cross ?capacity t =
   match t.impl with
   | Cross xc -> xc
-  | Local ring ->
+  | Local l ->
       (* Never smaller than what is already buffered: promotion runs on a
-         single domain, so a blocking push here would never be drained.
-         The bound is in items, so count through the batches (and any
-         partially consumed remainder). *)
-      let buffered = ref (List.length t.cur) in
-      Ring.iter (fun b -> buffered := !buffered + Batch.items b) ring;
+         single domain, so a blocking push here would never be drained. *)
       let capacity =
-        max (match capacity with Some c -> max 1 c | None -> t.capacity) !buffered
+        max (match capacity with Some c -> max 1 c | None -> t.capacity) l.n_items
       in
       let xc = Xchannel.create ~capacity ~name:t.name () in
       (* Carry over anything buffered before the switch (promotion happens
-         before the run, so this is normally empty): first the consumed
-         batch's remainder, then the ring, oldest first. *)
-      List.iter (fun item -> ignore (Xchannel.push xc item)) t.cur;
-      t.cur <- [];
+         before the run, so this is normally empty), oldest first. *)
       let rec drain () =
-        match Ring.pop ring with
+        match Ring.pop l.ring with
         | Some batch ->
             ignore (Xchannel.push_batch xc batch);
             drain ()

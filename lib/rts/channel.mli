@@ -4,14 +4,13 @@
     with drop accounting (the paper's performance metric is precisely "how
     high can the input rate be before tuples drop").
 
-    The transport unit is a {!Batch}: one ring slot holds one batch, so a
-    run of tuples costs one push and one pop however long it is. The
-    item-level {!push}/{!pop}/{!peek} API is kept for tests and
-    applications as singleton-batch wrappers; flattening the batch
-    sequence always yields the same item sequence the tuple-at-a-time
-    plane carried. A Local ring's capacity bounds {e batches}, so the
-    item capacity scales with the batch size; drop accounting is always
-    per item. *)
+    The transport unit is a {!Batch}, and the only one: one ring slot
+    holds one batch, so a run of tuples costs one push and one pop
+    however long it is. A single item travels as {!Batch.of_item};
+    flattening the batch sequence always yields the same item sequence
+    the tuple-at-a-time plane carried. A Local ring's capacity bounds
+    {e batches}, so the item capacity scales with the batch size; drop
+    accounting is always per item. *)
 
 type t
 
@@ -30,20 +29,12 @@ val push_batch : t -> Batch.t -> bool
     instead of dropping (backpressure across the domain boundary) and
     refuse only once closed. *)
 
-val push : t -> Item.t -> bool
-(** {!push_batch} of a singleton batch — item-at-a-time behaviour,
-    byte-for-byte the pre-batching semantics. *)
-
 val pop_batch : t -> Batch.t option
-(** Dequeue one batch. If the item-level {!pop} partially consumed a
-    batch, its remainder is returned first. *)
-
-val pop : t -> Item.t option
-val peek : t -> Item.t option
+(** Dequeue the oldest batch. *)
 
 val length : t -> int
-(** Buffered items (tuples plus control items), including the remainder
-    of a partially consumed batch. *)
+(** Buffered items (tuples plus control items). A running count, kept on
+    push, pop and Eof-forced eviction: O(1) however full the ring. *)
 
 val is_empty : t -> bool
 
@@ -59,8 +50,7 @@ val high_water : t -> int
 
 val promote_cross : ?capacity:int -> t -> Xchannel.t
 (** Switch this channel's transport to a bounded SPSC cross-domain
-    channel (idempotent; buffered batches — and any partially consumed
-    remainder — carry over in order). [capacity] defaults to the
+    channel (idempotent; buffered batches carry over in order). [capacity] defaults to the
     channel's own; the parallel scheduler passes a small bound so
     backpressure keeps producer and consumer domains rate-matched — the
     paper's fixed-size ring buffers between the runtime process and each

@@ -1,6 +1,3 @@
-module Metrics = Gigascope_obs.Metrics
-module Clock = Gigascope_obs.Clock
-
 (* ---------------- wakeup signals ---------------------------------------- *)
 
 type signal = {
@@ -189,97 +186,18 @@ let take_heartbeats shared =
   (* dedupe: a merge blocked on two silent inputs queues a source twice *)
   List.fold_left (fun acc n -> if List.memq n acc then acc else n :: acc) [] pending
 
-(* ---------------- worker domain loop ------------------------------------ *)
+(* ---------------- worker domains ----------------------------------------- *)
 
-type t = {
-  id : int;  (* partition index, >= 1 *)
-  nodes : Node.t list;  (* this domain's HFTAs, in topological order *)
-  quantum : int;
-  heartbeats : bool;
-  sample : int;  (* service-time sampling period *)
-}
-
-let make ~id ~nodes ~quantum ~heartbeats ~sample = { id; nodes; quantum; heartbeats; sample }
-
-let inputs_empty node =
-  Array.for_all (fun (_, chan) -> Channel.is_empty chan) (Node.inputs node)
-
-let run_loop shared r =
-  let my_signal = shared.signals.(r.id) in
-  let poke0 () = notify shared.signals.(0) in
-  (* A poisoned node announces Error+Eof (and so reads as exhausted)
-     while its upstream may still be producing. If the worker exited the
-     moment its drain caught up, that producer would block forever
-     pushing into a full cross-channel nobody pops — and a producer
-     blocked mid-push is not parked, so the wedge probe cannot see it.
-     Keep the domain alive (draining, or parked until the next push
-     pokes it) until every upstream of a poisoned node is exhausted
-     too. Non-poisoned nodes only emit Eof after consuming their
-     inputs' Eofs, so for them the extra condition already holds. *)
-  let upstreams_exhausted n =
-    Array.for_all (fun ((up : Node.t), _) -> Node.exhausted up) (Node.inputs n)
-  in
-  let finished () =
-    List.for_all
-      (fun n ->
-        Node.exhausted n && inputs_empty n
-        && ((not (Node.is_poisoned n)) || upstreams_exhausted n))
-      r.nodes
-  in
-  let iter = ref 0 in
-  let continue = ref true in
-  while !continue && not (Atomic.get shared.stop) do
-    incr iter;
-    let timed = (!iter - 1) mod r.sample = 0 in
-    let progress = ref false in
-    List.iter
-      (fun node ->
-        let made =
-          if timed then begin
-            let t0 = Clock.now_ns () in
-            let m = Node.step_inputs node ~quantum:r.quantum in
-            Node.record_service node (Clock.now_ns () -. t0);
-            m
-          end
-          else Node.step_inputs node ~quantum:r.quantum
-        in
-        if made then progress := true)
-      r.nodes;
-    (* Same policy as the single-threaded scheduler: consult blocked
-       inputs every iteration, not just when parked — an operator can
-       keep absorbing one input while starving on another (a merge over
-       skewed streams), and only the heartbeat bounds its buffer. *)
-    if r.heartbeats then
-      List.iter
-        (fun node ->
-          match Node.blocked_input node with
-          | Some i ->
-              let up, _ = (Node.inputs node).(i) in
-              request_heartbeat shared up
-          | None -> ())
-        r.nodes;
-    if not !progress then begin
-      if finished () then continue := false
-      else
-        (* Park until an input channel is pushed, a requested heartbeat's
-           punctuation arrives, or the run aborts. Waiting only when every
-           input is empty keeps the network deadlock-free: the producer of
-           a full channel never waits on its own consumer. The poke tells
-           domain 0 to re-run its wedge probe — a run where every domain
-           parks like this must end in an error, not a hang. *)
-        wait ~poke:poke0 my_signal
-    end
-  done;
-  (* Domain 0's completion and wedge checks both wait on worker exits;
-     announce ours even on abort. *)
-  mark_exited my_signal;
-  poke0 ()
-
-let spawn shared r =
+(* Domain 0's completion and wedge checks both wait on worker exits, so a
+   worker announces its exit whether its loop returns or raises. *)
+let spawn shared ~id ~label loop =
   Domain.spawn (fun () ->
-      try run_loop shared r
-      with e ->
-        let names = String.concat "," (List.map Node.name r.nodes) in
-        mark_exited shared.signals.(r.id);
-        fail shared
-          (Printf.sprintf "domain %d (%s): %s" r.id names (Printexc.to_string e)))
+      let exited () =
+        mark_exited shared.signals.(id);
+        notify shared.signals.(0)
+      in
+      match loop () with
+      | () -> exited ()
+      | exception e ->
+          exited ();
+          fail shared (Printf.sprintf "domain %d (%s): %s" id label (Printexc.to_string e)))

@@ -1,15 +1,15 @@
-(** Per-domain execution of a partition of the query network.
+(** The cross-domain plumbing of a run on several domains.
 
-    The parallel scheduler ({!Scheduler.run_parallel}) keeps sources and
-    LFTAs on the calling domain (the packet path) and hands each worker
-    domain a list of HFTAs to step. Workers run the same cooperative
-    quantum loop as the single-threaded scheduler, but park on a condvar
-    signal when all their inputs are empty instead of spinning — pushes
-    into their cross-domain input channels wake them. *)
+    {!Scheduler.run} keeps sources and LFTAs on the calling domain (the
+    packet path) and hands each worker domain a list of HFTAs; every
+    domain runs the scheduler's one round loop. This module holds what
+    the domains share: wakeup signals (a worker parks on its signal when
+    a round moves nothing, and pushes into its cross-domain inputs wake
+    it), the wedge probe, the queue of heartbeat requests for domain 0,
+    and the worker spawn. *)
 
 type signal
 
-val make_signal : unit -> signal
 val notify : signal -> unit
 
 val wait : ?poke:(unit -> unit) -> signal -> unit
@@ -26,7 +26,7 @@ val mark_exited : signal -> unit
     from then on. Also used for partitions that never spawn. *)
 
 type shared
-(** State shared by all domains of one parallel run: stop flag, first
+(** State shared by all domains of one run: stop flag, first
     error, per-partition wakeup signals, the cross-domain channels (for
     error shutdown), and the pending cross-domain heartbeat requests. *)
 
@@ -34,27 +34,24 @@ val make_shared : partitions:int -> shared
 val add_xchannel : shared -> Xchannel.t -> unit
 val signals : shared -> signal array
 
-val abort : shared -> unit
-(** Stop all domains: raise the stop flag, close every cross-domain
-    channel (unblocking producers), wake every parked domain. *)
-
 val fail : shared -> string -> unit
-(** Record the first error, then {!abort}. *)
+(** Record the first error, then stop all domains: raise the stop flag,
+    close every cross-domain channel (unblocking producers), wake every
+    parked domain. *)
 
 val error : shared -> string option
 val stopped : shared -> bool
-val wake_all : shared -> unit
 
 val all_workers_exited : shared -> bool
 (** Every worker signal (index [>= 1]) is {!mark_exited}. *)
 
 val probe_wedged : shared -> bool
-(** Domain-0 termination detection: true only when the parallel run is
-    provably frozen — every worker parked or exited, no pending
-    cross-domain heartbeat request, no wakeup pending for domain 0, and
-    no {!notify} observed anywhere during the probe. The caller turns
-    this into the same wedge error the single-threaded scheduler
-    reports, instead of parking forever. *)
+(** Domain-0 termination detection: true only when the run is provably
+    frozen — every worker parked or exited, no pending cross-domain
+    heartbeat request, no wakeup pending for domain 0, and no {!notify}
+    observed anywhere during the probe. With no workers that is simply
+    "no wakeup pending". The scheduler calls it after a round that moved
+    nothing and reports a wedge instead of parking forever. *)
 
 val request_heartbeat : shared -> Node.t -> unit
 (** Worker-side: walk upstream from [node] to its sources (a pure read of
@@ -64,19 +61,8 @@ val request_heartbeat : shared -> Node.t -> unit
 val take_heartbeats : shared -> Node.t list
 (** Domain-0 side: drain and dedupe the queued heartbeat requests. *)
 
-type t
-
-val make :
-  id:int -> nodes:Node.t list -> quantum:int -> heartbeats:bool -> sample:int -> t
-(** [id] is the partition index ([>= 1]; 0 is the packet-path domain);
-    [sample] is the service-time sampling period (1 = every iteration). *)
-
-val run_loop : shared -> t -> unit
-(** The worker loop, exposed for tests; normally entered via {!spawn}.
-    Steps every node a quantum per iteration; when nothing moves, either
-    exits (all nodes exhausted and drained), requests heartbeats for
-    blocked inputs, or parks on this partition's signal. *)
-
-val spawn : shared -> t -> unit Domain.t
-(** Run {!run_loop} on a fresh domain; an escaped exception becomes the
-    run's error ({!fail}), stopping every other domain. *)
+val spawn : shared -> id:int -> label:string -> (unit -> unit) -> unit Domain.t
+(** Run a worker loop on a fresh domain owning signal [id]. When the
+    loop returns or raises, the signal is {!mark_exited} and domain 0 is
+    poked; an escaped exception becomes the run's error ({!fail}, naming
+    the domain and [label]), stopping every other domain. *)

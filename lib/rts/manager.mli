@@ -36,7 +36,7 @@ val add_query_node :
   op:Operator.t ->
   (Node.t, string) result
 (** Registers the node and subscribes it to each named input, in order.
-    To pin the node to an execution domain for {!Scheduler.run_parallel},
+    To pin the node to an execution domain for {!Scheduler.run},
     call {!Node.set_placement} on the result. Errors: duplicate name;
     unknown input; an LFTA (or a source) added after {!start}; an LFTA
     reading from anything but a source. *)
@@ -59,7 +59,7 @@ val add_query_node_sized :
 val register_xchannel_metrics : t -> Xchannel.t -> unit
 (** Attach a promoted cross-domain channel's cells under
     [rts.xchannel.<from>-><to>] (suffix-deduped like [rts.chan]). Called
-    by {!Scheduler.run_parallel} at promotion time. *)
+    by {!Scheduler.run} at promotion time. *)
 
 val find : t -> string -> Node.t option
 val nodes : t -> Node.t list

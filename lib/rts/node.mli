@@ -37,7 +37,7 @@ val kind : t -> kind
 val schema : t -> Schema.t
 
 val placement : t -> int option
-(** Pinned execution domain for the parallel scheduler; [None] lets the
+(** Pinned execution domain for a run on several domains; [None] lets the
     scheduler place the node (sources and LFTAs on the packet-path
     domain, HFTAs as pipeline stages over the workers — see
     {!Scheduler.partition}). *)
@@ -46,7 +46,7 @@ val set_placement : t -> int option -> unit
 
 val shard : t -> int option
 (** Shard index for a node that is one replica of a sharded query chain
-    ([None] for unsharded nodes). The parallel scheduler spreads tagged
+    ([None] for unsharded nodes). A run on several domains spreads tagged
     replicas over worker domains — including LFTA-kind replicas, which
     would otherwise stay on the packet-path domain. *)
 
@@ -59,7 +59,8 @@ val set_supervisor : t -> Supervisor.t option -> unit
     [Item.Error] then [Item.Eof], and draining its inputs from then on
     so upstream never wedges), or escalates as {!Supervisor.Crashed}
     according to the policy. Without one (the default), the exception
-    propagates as before. *)
+    escapes the step, and {!Scheduler.run} returns it as the run's
+    [Error]. *)
 
 val is_poisoned : t -> bool
 
@@ -167,7 +168,7 @@ val input_drops : t -> int
 
 val record_service : t -> float -> unit
 (** Record one scheduler service slice (nanoseconds) into this node's
-    service-time histogram (fed by {!Scheduler.run}). *)
+    service-time histogram (fed by {!Scheduler.run} on every domain). *)
 
 val register_metrics : t -> Gigascope_obs.Metrics.t -> unit
 (** Attach this node's cells under [rts.node.<name>]: [tuples_in] and

@@ -5,8 +5,7 @@ type t = {
   name : string;
   capacity : int;  (* in items, matching Channel *)
   q : Batch.t Queue.t;
-  mutable cur : Item.t list;  (* consumer-side remainder of a popped batch *)
-  mutable n_items : int;  (* items buffered: queue plus remainder *)
+  mutable n_items : int;  (* items buffered *)
   lock : Mutex.t;
   not_full : Condition.t;
   mutable closed : bool;
@@ -24,7 +23,6 @@ let create ?(capacity = 4096) ~name () =
     name;
     capacity;
     q = Queue.create ();
-    cur = [];
     n_items = 0;
     lock = Mutex.create ();
     not_full = Condition.create ();
@@ -98,58 +96,16 @@ let push_batch t batch =
   if accepted then t.on_push ();
   accepted
 
-let push t item = push_batch t (Batch.of_item item)
-
-(* Consumer side (SPSC): [cur] holds the remainder of a dequeued batch so
-   the item-level API can interleave with batch pops; both run under the
-   lock, and only the consumer domain touches them. *)
-
-let refill_cur t =
-  if t.cur = [] then
-    match Queue.take_opt t.q with Some b -> t.cur <- Batch.to_items b | None -> ()
-
-let pop t =
-  Mutex.lock t.lock;
-  refill_cur t;
-  let item =
-    match t.cur with
-    | it :: rest ->
-        t.cur <- rest;
-        t.n_items <- t.n_items - 1;
-        Some it
-    | [] -> None
-  in
-  if item <> None then Condition.signal t.not_full;
-  Mutex.unlock t.lock;
-  item
-
 let pop_batch t =
   Mutex.lock t.lock;
-  let batch =
-    match t.cur with
-    | [] -> (
-        match Queue.take_opt t.q with
-        | Some b ->
-            t.n_items <- t.n_items - Batch.items b;
-            Some b
-        | None -> None)
-    | items ->
-        t.cur <- [];
-        t.n_items <- t.n_items - List.length items;
-        Some (Batch.of_items items)
-  in
-  if batch <> None then Condition.signal t.not_full;
+  let batch = Queue.take_opt t.q in
+  (match batch with
+  | Some b ->
+      t.n_items <- t.n_items - Batch.items b;
+      Condition.signal t.not_full
+  | None -> ());
   Mutex.unlock t.lock;
   batch
-
-(* Sound for SPSC use: only the consumer removes items, so a peeked head
-   stays the head until the same domain pops it. *)
-let peek t =
-  Mutex.lock t.lock;
-  refill_cur t;
-  let item = match t.cur with it :: _ -> Some it | [] -> None in
-  Mutex.unlock t.lock;
-  item
 
 let length t =
   Mutex.lock t.lock;

@@ -16,7 +16,7 @@
     overshoot the capacity by one batch.
 
     Single producer, single consumer: the owning domains of the two
-    endpoint nodes. {!pop}/{!peek} are non-blocking; a consumer with
+    endpoint nodes. {!pop_batch} is non-blocking; a consumer with
     nothing to read parks on its {!Domain_runner} signal, which
     [on_push] pokes. *)
 
@@ -38,19 +38,8 @@ val push_batch : t -> Batch.t -> bool
     batch's tuples plus a non-Eof control item) only when the channel is
     closed. *)
 
-val push : t -> Item.t -> bool
-(** {!push_batch} of a singleton batch. *)
-
 val pop_batch : t -> Batch.t option
-(** Non-blocking; signals a producer waiting on a full channel. When the
-    item-level {!pop} has partially consumed a batch, the remainder is
-    returned first. *)
-
-val pop : t -> Item.t option
-(** Item-level view of {!pop_batch}: consumes one item at a time. *)
-
-val peek : t -> Item.t option
-(** Non-blocking; stable only for the consumer domain (SPSC). *)
+(** Non-blocking; signals a producer waiting on a full channel. *)
 
 val length : t -> int
 (** Buffered items (tuples plus control items). *)

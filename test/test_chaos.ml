@@ -409,16 +409,12 @@ let test_shed_conserves_tuples () =
   (match Rts.Scheduler.run ~shed:0.5 mgr with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  let items = ref [] in
-  let rec drain () =
-    match Rts.Channel.pop chan with
-    | Some it ->
-        items := it :: !items;
-        drain ()
-    | None -> ()
+  let rec drain acc =
+    match Rts.Channel.pop_batch chan with
+    | Some b -> drain (List.rev_append (Rts.Batch.to_items b) acc)
+    | None -> List.rev acc
   in
-  drain ();
-  let items = List.rev !items in
+  let items = drain [] in
   let delivered = count_tuples items in
   let announced = List.fold_left ( + ) 0 (gaps items) in
   let shed = Rts.Node.shed_count src_node in
@@ -632,6 +628,12 @@ let test_reconnect_resumes_after_disconnect () =
 let test_reconnect_survives_torn_write () =
   run_healing_scenario ~spec:"torn=3" ~label:"torn"
 
+(* a second cut after the first resume: the second resume's gap must
+   announce only what the second cut lost, not the first cut's loss
+   again *)
+let test_reconnect_twice () =
+  run_healing_scenario ~spec:"disconnect=3,torn=8" ~label:"two cuts"
+
 (* --------------------------- state watchdog ------------------------------ *)
 
 (* The regression behind the watchdog: a source whose schema imputes an
@@ -801,6 +803,7 @@ let () =
           tc "idle timeout surfaces a dead peer" test_idle_timeout_detects_dead_peer;
           tc "heartbeats keep an idle link alive" test_heartbeats_keep_idle_link_alive;
           tc "reconnect resumes after a cut" test_reconnect_resumes_after_disconnect;
+          tc "reconnect resumes after two cuts" test_reconnect_twice;
           tc "reconnect survives a torn write" test_reconnect_survives_torn_write;
         ] );
     ]

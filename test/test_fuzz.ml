@@ -177,10 +177,12 @@ let xchannel_fuzz =
             let acc = ref [] in
             let continue = ref true in
             while !continue do
-              (match Rts.Xchannel.pop xc with
-              | Some (Rts.Item.Tuple [| Rts.Value.Int v |]) -> acc := v :: !acc
-              | Some Rts.Item.Eof -> continue := false
-              | Some _ -> ()
+              (match Rts.Xchannel.pop_batch xc with
+              | Some b ->
+                  Rts.Batch.iter b (function
+                    | Rts.Item.Tuple [| Rts.Value.Int v |] -> acc := v :: !acc
+                    | Rts.Item.Eof -> continue := false
+                    | _ -> ())
               | None ->
                   if Rts.Xchannel.is_closed xc && Rts.Xchannel.is_empty xc then
                     continue := false
@@ -191,10 +193,11 @@ let xchannel_fuzz =
       in
       for i = 0 to n - 1 do
         (match close_at with Some c when c = i -> Rts.Xchannel.close xc | _ -> ());
-        ignore (Rts.Xchannel.push xc (Rts.Item.Tuple [| Rts.Value.Int i |]));
+        ignore
+          (Rts.Xchannel.push_batch xc (Rts.Batch.of_item (Rts.Item.Tuple [| Rts.Value.Int i |])));
         stall rng
       done;
-      ignore (Rts.Xchannel.push xc Rts.Item.Eof);
+      ignore (Rts.Xchannel.push_batch xc (Rts.Batch.of_item Rts.Item.Eof));
       (* EOF is dropped silently on a closed channel; close again so a
          consumer still draining observes termination either way *)
       Rts.Xchannel.close xc;
@@ -205,6 +208,63 @@ let xchannel_fuzz =
       && Rts.Xchannel.drops xc = n - accepted
       && Rts.Xchannel.high_water xc <= capacity
       && Rts.Xchannel.blocked_ns xc >= 0)
+
+(* [Channel.length] is a running item count, not a walk over the ring.
+   Against a model of the ring's contents, after random pushes and pops
+   over a small ring (so it fills and rejects), then a fill and an Eof
+   forced in over a buffered batch, the count equals the items of the
+   buffered batches, and draining the ring pops exactly those batches. *)
+let channel_length_law =
+  qtest ~count:300 "Channel.length = items of the buffered batches" QCheck.small_int
+    (fun seed ->
+      let module Item = Rts.Item in
+      let module Batch = Rts.Batch in
+      let rng = Prng.create ((seed * 13) + 5) in
+      let capacity = 1 + Prng.int rng 4 in
+      let chan = Rts.Channel.create ~capacity ~name:"len" () in
+      let model = Queue.create () in
+      let ok = ref true in
+      let agree () =
+        let items = Queue.fold (fun acc b -> acc + Batch.items b) 0 model in
+        if Rts.Channel.length chan <> items then ok := false
+      in
+      let push nt ctrl =
+        let b = Batch.make (Array.init nt (fun i -> [| Rts.Value.Int i |])) ctrl in
+        let room = Queue.length model < capacity in
+        if Rts.Channel.push_batch chan b <> (room || ctrl = Some Item.Eof) then ok := false;
+        if room then Queue.push b model
+        else if ctrl = Some Item.Eof then begin
+          (* full ring: a control-only Eof evicts the oldest batch *)
+          ignore (Queue.take model);
+          Queue.push (Batch.of_item Item.Eof) model
+        end;
+        agree ()
+      in
+      for _ = 1 to 20 + Prng.int rng 60 do
+        if Prng.int rng 3 = 0 then begin
+          if Rts.Channel.pop_batch chan <> Queue.take_opt model then ok := false;
+          agree ()
+        end
+        else
+          match Prng.int rng 6 with
+          | 0 -> push (Prng.int rng 3) (Some Item.Eof)
+          | 1 -> push (Prng.int rng 3) (Some (Item.Punct [ (0, Rts.Value.Int 1) ]))
+          | _ -> push (1 + Prng.int rng 3) None
+      done;
+      while Queue.length model < capacity do
+        push (1 + Prng.int rng 3) None
+      done;
+      push 2 (Some Item.Eof);
+      let len = Rts.Channel.length chan in
+      let rec drain acc =
+        match Rts.Channel.pop_batch chan with
+        | Some b ->
+            if Some b <> Queue.take_opt model then ok := false;
+            drain (acc + Batch.items b)
+        | None -> acc
+      in
+      let drained = drain 0 in
+      !ok && drained = len && Rts.Channel.length chan = 0 && Rts.Channel.is_empty chan)
 
 (* ---------------------- batched data plane ------------------------------ *)
 
@@ -702,6 +762,7 @@ let () =
       ("regex", [regex_compile_never_raises_unexpectedly; regex_match_never_raises]);
       ("tables", [lpm_table_never_raises]);
       ("xchannel", [xchannel_fuzz]);
+      ("channel", [channel_length_law]);
       ("batch-differential", batch_differential);
       ("punct-law", punct_law);
       ("shard-differential", [shard_count_differential; merge_reorder_fuzz]);

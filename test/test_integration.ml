@@ -90,7 +90,8 @@ let test_aggregation_exact () =
 let test_avg_split_exact () =
   (* avg is the aggregate that truly tests sub/super splitting: the LFTA
      emits (sum, count) partials; the HFTA recombines with fdiv *)
-  let engine = E.create () in
+  (* the two-node split shape is the unsharded plan's *)
+  let engine = E.create ~shards:1 () in
   E.add_packet_list_interface engine ~name:"eth0"
     [
       tcp_pkt 0.1 "10.0.0.1" "10.0.0.2" 1 80 "aa";      (* len 2 *)
@@ -631,7 +632,8 @@ let test_live_parameter_change () =
          | _ -> ()));
   let flipped = ref false in
   (match
-     E.run engine ~quantum:16
+     (* the hook runs on domain 0, so the run keeps to one domain *)
+     E.run engine ~quantum:16 ~parallel:1
        ~on_round:(fun round ->
          if round = 20 && not !flipped then begin
            flipped := true;
@@ -663,7 +665,8 @@ let test_flush_mid_stream () =
     (E.on_tuple engine "unkeyed" (fun t ->
          match t.(1) with Value.Int c -> flushes_seen := c :: !flushes_seen | _ -> ()));
   (match
-     E.run engine ~quantum:8
+     (* the hook runs on domain 0, so the run keeps to one domain *)
+     E.run engine ~quantum:8 ~parallel:1
        ~on_round:(fun round ->
          if round = 5 then Result.get_ok (E.flush engine "unkeyed"))
        ()
@@ -744,9 +747,12 @@ let counting_feed packets =
    drain their inputs before the source pulls again, and the LFTA
    punctuates its epoch advance, so the HFTA closes epoch 0 within the
    round that pulls epoch 1's first packet: no more than one quantum
-   after it. Both tests run on one domain, whatever GIGASCOPE_PARALLEL
-   says: with worker domains, how far the source runs ahead of an HFTA
-   is up to the OS scheduler. *)
+   after it. Both tests keep the LFTA->HFTA hop on domain 0, whatever
+   GIGASCOPE_PARALLEL says: across a worker domain, how far the source
+   runs ahead of an HFTA is up to the OS scheduler. The first test also
+   runs on two domains with the HFTA pinned to domain 0 (and sharding
+   off, so no replica leaves it): domain 0 drains like a one-domain
+   run. *)
 let test_epoch_closes_within_round () =
   let n0 = 600 and n1 = 200 in
   let src i = Printf.sprintf "10.%d.%d.1" (i / 200) (i mod 200) in
@@ -754,26 +760,34 @@ let test_epoch_closes_within_round () =
     List.init n0 (fun i -> tcp_pkt (0.5 +. (float_of_int i /. 4000.)) (src i) "10.9.9.9" 1 80 "")
     @ List.init n1 (fun i -> tcp_pkt (1.5 +. (float_of_int i /. 4000.)) (src i) "10.9.9.9" 1 80 "")
   in
-  let feed, handed, _ = counting_feed packets in
-  let engine = E.create () in
-  E.add_interface engine ~name:"eth0" ~feed ();
-  ignore
-    (install engine
-       {| DEFINE { query_name persrc; }
-          SELECT tb, srcip, count(*) as c FROM eth0.tcp GROUP BY time/1 as tb, srcip |});
-  let epoch0 = ref 0 and last_epoch0_at = ref 0 in
-  Result.get_ok
-    (E.on_tuple engine "persrc" (fun t ->
-         if t.(0) = Value.Int 0 then begin
-           incr epoch0;
-           last_epoch0_at := !handed
-         end));
-  (match E.run engine ~parallel:1 () with Ok _ -> () | Error e -> Alcotest.fail e);
-  check Alcotest.int "every epoch-0 group delivered" n0 !epoch0;
-  let limit = n0 + Rts.Scheduler.default_quantum in
-  if !last_epoch0_at > limit then
-    Alcotest.failf "last epoch-0 row arrived after %d packets were handed out (limit %d)"
-      !last_epoch0_at limit
+  List.iter
+    (fun (label, shards, parallel, placement) ->
+      let feed, handed, _ = counting_feed packets in
+      let engine = E.create ?shards () in
+      E.add_interface engine ~name:"eth0" ~feed ();
+      ignore
+        (install engine
+           {| DEFINE { query_name persrc; }
+              SELECT tb, srcip, count(*) as c FROM eth0.tcp GROUP BY time/1 as tb, srcip |});
+      let epoch0 = ref 0 and last_epoch0_at = ref 0 in
+      Result.get_ok
+        (E.on_tuple engine "persrc" (fun t ->
+             if t.(0) = Value.Int 0 then begin
+               incr epoch0;
+               last_epoch0_at := !handed
+             end));
+      (match E.run engine ~parallel ?placement () with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (label ^ ": " ^ e));
+      check Alcotest.int (label ^ ": every epoch-0 group delivered") n0 !epoch0;
+      let limit = n0 + Rts.Scheduler.default_quantum in
+      if !last_epoch0_at > limit then
+        Alcotest.failf "%s: last epoch-0 row arrived after %d packets were handed out (limit %d)"
+          label !last_epoch0_at limit)
+    [
+      ("one domain", None, 1, None);
+      ("two domains, HFTA on domain 0", Some 1, 2, Some [ ("persrc", 0) ]);
+    ]
 
 (* One group per epoch, as e2_port80cnt: the LFTA table holds epoch 1's
    only group until end of input, so without the LFTA's epoch

@@ -432,7 +432,10 @@ let test_loopback_drop_newest () =
   let expected = List.assoc "pay" baseline in
   let total = List.length expected in
   Alcotest.(check bool) "workload produces enough traffic" true (total > 500);
-  let engine = E.create () in
+  (* unsharded: egress queues grow to the query's certified burst, and a
+     sharded plan's reunification merge certifies thousands of tuples,
+     more than the whole run, so the slow queue could not overflow *)
+  let engine = E.create ~shards:1 () in
   payload_workload.Workloads.setup ~seed engine;
   (match E.install_program engine payload_program with
   | Ok _ -> ()
@@ -516,7 +519,9 @@ let test_loopback_drop_newest () =
 
 let test_disconnect_policy () =
   let seed = 12 in
-  let engine = E.create () in
+  (* unsharded, as in test_loopback_drop_newest: the 8-tuple egress
+     queue must stay below the query's certified burst to overflow *)
+  let engine = E.create ~shards:1 () in
   payload_workload.Workloads.setup ~seed engine;
   (match E.install_program engine payload_program with
   | Ok _ -> ()

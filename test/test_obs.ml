@@ -358,7 +358,8 @@ let test_engine_metrics_ground_truth () =
     Packet.tcp ~ts ~src:(ip "10.0.0.1") ~dst:(ip "10.0.0.2") ~src_port:1234 ~dst_port:dport
       ~payload:(Bytes.of_string "x") ()
   in
-  let engine = E.create () in
+  (* the node and channel names checked below are the unsharded plan's *)
+  let engine = E.create ~shards:1 () in
   E.add_packet_list_interface engine ~name:"eth0"
     [pkt 1.0 80; pkt 1.1 443; pkt 1.2 80; pkt 1.3 80];
   (match
@@ -392,8 +393,9 @@ let test_engine_lfta_metrics () =
     Packet.tcp ~ts ~src:(ip "10.0.0.1") ~dst:(ip "10.0.0.2") ~src_port:1234 ~dst_port:dport
       ~payload:(Bytes.of_string "x") ()
   in
-  (* tiny LFTA table (4 slots) + 64 distinct ports: collisions guaranteed *)
-  let engine = E.create () in
+  (* tiny LFTA table (4 slots) + 64 distinct ports: collisions guaranteed;
+     [_lfta_ports] is the unsharded plan's LFTA *)
+  let engine = E.create ~shards:1 () in
   E.add_packet_list_interface engine ~name:"eth0"
     (List.init 64 (fun i -> pkt (1.0 +. (0.001 *. float_of_int i)) (1000 + i)));
   (match

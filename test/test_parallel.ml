@@ -1,12 +1,14 @@
 (* The parallel-execution determinism harness.
 
    Every workload below runs twice over the SAME generated traffic: once
-   on the single-threaded scheduler, once on N OCaml domains via
-   Engine.run ~parallel. The subscriber output of every query must be
-   byte-identical — not multiset-equal, identical in order — because the
-   runtime's claim (Scheduler.run_parallel's doc) is that operator output
-   depends only on per-channel input tuple order, never on punctuation
-   timing or domain interleaving.
+   on one domain, once on N OCaml domains via Engine.run ~parallel. Both
+   runs go through the one scheduler loop (Scheduler.run); only the
+   wiring differs, cross-domain channels between the domains. The
+   subscriber output of every query must be byte-identical — not
+   multiset-equal, identical in order — because the runtime's claim
+   (Scheduler.run's doc) is that operator output depends only on
+   per-channel input tuple order, never on punctuation timing, domain
+   interleaving or which domain drains a node.
 
    The matrix: every example query from queries/ (plus an ordered-output
    join program, the hardest case) × three generator seeds × 2 and 3
@@ -84,8 +86,10 @@ let test_placement_pinned () =
   let w = List.find (fun w -> w.wname = "tcpdest") workloads in
   let seed = 42 in
   let baseline, _ = exec w ~seed ~parallel:1 () in
+  (* the pins suit the unsharded plan: shard replicas take workers by
+     shard index, and under them these pins close a domain cycle *)
   let pinned, _ =
-    exec w ~seed ~parallel:3 ~placement:[("portcounts", 2); ("tcpdest0", 1)] ()
+    exec w ~seed ~parallel:3 ~shards:1 ~placement:[("portcounts", 2); ("tcpdest0", 1)] ()
   in
   assert_same ~label:"tcpdest pinned placement" baseline pinned;
   (* unknown node names must be rejected, not ignored *)
@@ -146,7 +150,22 @@ let chain_workload =
 (* the default partition is a pipeline: every cross-domain edge ascends,
    so the domain graph cannot contain the blocking cycle above *)
 let test_partition_pipeline () =
-  let engine = E.create () in
+  (* one domain: every node on domain 0, shard replicas and unpinned
+     HFTAs included (both used to divide by the zero worker count) *)
+  let sharded = E.create ~shards:2 () in
+  chain_workload.setup ~seed:42 sharded;
+  ignore (Result.get_ok (E.install_program sharded chain_program));
+  let nodes = Rts.Manager.nodes (E.manager sharded) in
+  check Alcotest.bool "the plan has shard replicas" true
+    (List.exists (fun n -> Rts.Node.shard n <> None) nodes);
+  (match Rts.Scheduler.partition ~domains:1 nodes with
+  | Error e -> Alcotest.fail e
+  | Ok parts ->
+      check Alcotest.int "one partition" 1 (Array.length parts);
+      check Alcotest.int "every node on domain 0" (List.length nodes) (List.length parts.(0)));
+  (* LFTAs on domain 0 is a property of the unsharded plan: a shard
+     replica goes to a worker whatever its kind *)
+  let engine = E.create ~shards:1 () in
   chain_workload.setup ~seed:42 engine;
   ignore (Result.get_ok (E.install_program engine chain_program));
   let nodes = Rts.Manager.nodes (E.manager engine) in
@@ -212,10 +231,20 @@ let test_cyclic_placement_rejected () =
   | Ok _ -> Alcotest.fail "cyclic placement accepted"
   | Error e -> check Alcotest.bool ("error names the cycle: " ^ e) true (contains e "cycle")
 
+(* an on_round hook mutates live operator state from domain 0, so it
+   would race the workers: the run refuses it on more than one domain *)
+let test_on_round_needs_one_domain () =
+  let engine = E.create () in
+  chain_workload.setup ~seed:42 engine;
+  ignore (Result.get_ok (E.install_program engine chain_program));
+  match E.run engine ~parallel:2 ~on_round:ignore () with
+  | Ok _ -> Alcotest.fail "on_round accepted on two domains"
+  | Error e -> check Alcotest.bool ("error names the hook: " ^ e) true (contains e "on_round")
+
 (* an operator that consumes everything but never emits its EOF wedges
-   the network with nothing blocked on a heartbeat; the parallel
-   scheduler must report the wedge like the single-threaded one instead
-   of parking domain 0 forever *)
+   the network with nothing blocked on a heartbeat; a run on several
+   domains must report the wedge like a one-domain run instead of
+   parking domain 0 forever *)
 let test_wedge_detected () =
   let module Schema = Rts.Schema in
   let module Ty = Rts.Ty in
@@ -252,7 +281,7 @@ let test_wedge_detected () =
       (Result.get_ok
          (Rts.Manager.add_query_node mgr ~name:"stuck" ~kind:Rts.Node.Hfta ~schema
             ~inputs:["src"] ~op:stuck));
-    if parallel <= 1 then Rts.Scheduler.run mgr else Rts.Scheduler.run_parallel ~domains:parallel mgr
+    Rts.Scheduler.run ~domains:parallel mgr
   in
   List.iter
     (fun parallel ->
@@ -265,20 +294,21 @@ let test_wedge_detected () =
     [1; 2; 3]
 
 (* close-while-producer-blocked-in-push: the producer domain is parked
-   in Xchannel.push on a full channel when the consumer tears the
+   in Xchannel.push_batch on a full channel when the consumer tears the
    channel down. close must release the waiter and the push must report
    rejection — a hang here deadlocked shutdown paths. *)
 let test_xchannel_close_releases_blocked_push () =
+  let push xc item = Rts.Xchannel.push_batch xc (Rts.Batch.of_item item) in
   let xc = Rts.Xchannel.create ~capacity:4 ~name:"xc-close-race" () in
   for i = 1 to 4 do
-    check Alcotest.bool "fill accepted" true (Rts.Xchannel.push xc (Rts.Item.Tuple [| Value.Int i |]))
+    check Alcotest.bool "fill accepted" true (push xc (Rts.Item.Tuple [| Value.Int i |]))
   done;
   let released = Atomic.make false in
   let accepted = Atomic.make true in
   let producer =
     Thread.create
       (fun () ->
-        let ok = Rts.Xchannel.push xc (Rts.Item.Tuple [| Value.Int 99 |]) in
+        let ok = push xc (Rts.Item.Tuple [| Value.Int 99 |]) in
         Atomic.set accepted ok;
         Atomic.set released true)
       ()
@@ -347,6 +377,7 @@ let () =
       ( "partitioning & liveness",
         [
           tc "pipeline partition is acyclic" test_partition_pipeline;
+          tc "on_round needs one domain" test_on_round_needs_one_domain;
           tc "hfta chain does not deadlock" test_chain_no_deadlock;
           tc "cyclic placement rejected" test_cyclic_placement_rejected;
           tc "wedge detected, not hung" test_wedge_detected;

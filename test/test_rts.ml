@@ -1067,9 +1067,13 @@ let test_manager_lfta_input_restriction () =
 
 let drain_channel chan =
   let rec go acc =
-    match Rts.Channel.pop chan with Some item -> go (item :: acc) | None -> List.rev acc
+    match Rts.Channel.pop_batch chan with
+    | Some b -> go (List.rev_append (Rts.Batch.to_items b) acc)
+    | None -> List.rev acc
   in
   go []
+
+let push chan item = Rts.Channel.push_batch chan (Rts.Batch.of_item item)
 
 let test_promote_cross_carries_buffer () =
   (* whatever sits buffered at promotion time — tuples, punctuation, Eof —
@@ -1084,7 +1088,7 @@ let test_promote_cross_carries_buffer () =
       Item.Eof;
     ]
   in
-  List.iter (fun item -> assert (Rts.Channel.push chan item)) items;
+  List.iter (fun item -> assert (push chan item)) items;
   let xc = Rts.Channel.promote_cross chan in
   check Alcotest.bool "channel reports cross" true (Rts.Channel.is_cross chan);
   check Alcotest.int "nothing lost in the move" (List.length items) (Rts.Channel.length chan);
@@ -1093,41 +1097,15 @@ let test_promote_cross_carries_buffer () =
   check Alcotest.bool "buffered items carry over in order" true (got = items);
   check Alcotest.int "no drops from promotion" 0 (Rts.Channel.drops chan)
 
-let test_promote_cross_partial_batch () =
-  (* promotion mid-stream, after a batch was partially consumed: the
-     consumer-side remainder must carry over ahead of the ring *)
-  let chan = Rts.Channel.create ~capacity:16 ~name:"edge" () in
-  let batch =
-    Rts.Batch.make
-      [| [| vint 0; vint 0 |]; [| vint 1; vint 0 |]; [| vint 2; vint 0 |] |]
-      (Some (Item.Punct [(0, vint 2)]))
-  in
-  assert (Rts.Channel.push_batch chan batch);
-  assert (Rts.Channel.push chan (Item.Tuple [| vint 3; vint 0 |]));
-  (match Rts.Channel.pop chan with
-  | Some (Item.Tuple [| Value.Int 0; _ |]) -> ()
-  | _ -> Alcotest.fail "first tuple expected before promotion");
-  ignore (Rts.Channel.promote_cross chan);
-  let got = drain_channel chan in
-  let expected =
-    [
-      Item.Tuple [| vint 1; vint 0 |];
-      Item.Tuple [| vint 2; vint 0 |];
-      Item.Punct [(0, vint 2)];
-      Item.Tuple [| vint 3; vint 0 |];
-    ]
-  in
-  check Alcotest.bool "remainder then ring, in order" true (got = expected)
-
 let test_promote_cross_idempotent () =
   (* a second promotion mid-stream must return the same xchannel and
      disturb nothing *)
   let chan = Rts.Channel.create ~capacity:16 ~name:"edge" () in
-  assert (Rts.Channel.push chan (Item.Tuple [| vint 0; vint 0 |]));
+  assert (push chan (Item.Tuple [| vint 0; vint 0 |]));
   let xc1 = Rts.Channel.promote_cross chan in
-  assert (Rts.Channel.push chan (Item.Tuple [| vint 1; vint 0 |]));
-  (match Rts.Channel.pop chan with
-  | Some (Item.Tuple [| Value.Int 0; _ |]) -> ()
+  assert (push chan (Item.Tuple [| vint 1; vint 0 |]));
+  (match Rts.Channel.pop_batch chan with
+  | Some b when Rts.Batch.to_items b = [ Item.Tuple [| vint 0; vint 0 |] ] -> ()
   | _ -> Alcotest.fail "first tuple expected between promotions");
   let xc2 = Rts.Channel.promote_cross chan in
   check Alcotest.bool "same xchannel both times" true (xc1 == xc2);
@@ -1143,7 +1121,7 @@ let test_promote_cross_capacity_clamp () =
      promotion runs single-domain, so a blocking push would never drain *)
   let chan = Rts.Channel.create ~capacity:8 ~name:"edge" () in
   for i = 0 to 4 do
-    assert (Rts.Channel.push chan (Item.Tuple [| vint i; vint 0 |]))
+    assert (push chan (Item.Tuple [| vint i; vint 0 |]))
   done;
   let xc = Rts.Channel.promote_cross ~capacity:2 chan in
   check Alcotest.bool "capacity clamped to buffer" true (Rts.Xchannel.capacity xc >= 5);
@@ -1159,9 +1137,8 @@ let test_scheduler_end_to_end () =
   let chan = Result.get_ok (Rts.Manager.subscribe mgr "q") in
   (match Rts.Scheduler.run mgr with Ok _ -> () | Error e -> Alcotest.fail e);
   let rec drain acc =
-    match Rts.Channel.pop chan with
-    | Some (Item.Tuple _) -> drain (acc + 1)
-    | Some _ -> drain acc
+    match Rts.Channel.pop_batch chan with
+    | Some b -> drain (acc + Rts.Batch.n_tuples b)
     | None -> acc
   in
   check Alcotest.int "all tuples arrive at subscriber" 100 (drain 0)
@@ -1310,8 +1287,6 @@ let () =
       ( "channel",
         [
           Alcotest.test_case "promotion carries buffer" `Quick test_promote_cross_carries_buffer;
-          Alcotest.test_case "promotion carries partial batch" `Quick
-            test_promote_cross_partial_batch;
           Alcotest.test_case "promotion idempotent" `Quick test_promote_cross_idempotent;
           Alcotest.test_case "promotion capacity clamp" `Quick test_promote_cross_capacity_clamp;
         ] );
